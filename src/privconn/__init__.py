@@ -41,7 +41,6 @@ from .consensus_analysis import (
 from .property_bounds import (
     PropertyBoundReport,
     diameter_bounds_exact,
-    erfi,
     exact_bounds,
     expected_bounds,
     expected_inv_sqrt_lambda2,
@@ -49,7 +48,6 @@ from .property_bounds import (
     mean_distance_bounds_exact,
     min_degree_inference,
     optimize_alpha,
-    upper_incomplete_gamma_half,
 )
 from .validation import (
     AttackResult,
@@ -98,8 +96,6 @@ __all__ = [
     "settle_time",
     "worst_case_settle_time",
     "PropertyBoundReport",
-    "upper_incomplete_gamma_half",
-    "erfi",
     "diameter_bounds_exact",
     "mean_distance_bounds_exact",
     "optimize_alpha",

@@ -34,6 +34,7 @@ from .graph_core import from_edge_list, spectrum
 from .privacy_mechanism import PrivacyParams, normalizer_C, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
+    _MAX_SENSITIVITY_N,
     attack_under_noise,
     audit_concentration,
     audit_dp,
@@ -49,8 +50,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_AUDIT_FAILED = 5
-
-_SENSITIVITY_CAP = 5
 
 
 def _read_graph(path: str):
@@ -263,14 +262,14 @@ def _cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     audit = {}
     failed = False
-    if args.n <= _SENSITIVITY_CAP:
+    if args.n <= _MAX_SENSITIVITY_N:
         sens = audit_sensitivity(args.n, params.A)
         audit["sensitivity"] = sens.as_dict()
         failed = failed or not sens.passed
     else:
         audit["sensitivity"] = {
             "skipped": True,
-            "reason": f"exhaustive scan needs n <= {_SENSITIVITY_CAP}",
+            "reason": f"exhaustive scan needs n <= {_MAX_SENSITIVITY_N}",
         }
     dp = audit_dp(
         args.n,
@@ -474,7 +473,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: the dense Laplacian of a huge graph; numpy names the size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

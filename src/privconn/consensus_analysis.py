@@ -135,6 +135,13 @@ def rho_terms(t, lambda2: float, b: float, n: float):
     return float(rho1), float(rho2), float(rho3)
 
 
+def _combine_rho(rho1, rho2, rho3, lambda2: float, b: float, n: float):
+    """(rho1 + rho2 - rho3) / (2C), floored at 0: the mean absolute error."""
+    C = normalizer_C(lambda2, b, n)
+    out = np.maximum((np.asarray(rho1) + rho2 - rho3) / (2.0 * C), 0.0)
+    return out if out.ndim else float(out)
+
+
 def expected_rate_error(t, lambda2: float, b: float, n: float):
     """Mean absolute gap between the estimated and true contraction factors.
 
@@ -142,10 +149,7 @@ def expected_rate_error(t, lambda2: float, b: float, n: float):
     Laplace centered at lambda2 with scale b on [0, n]. Accepts a scalar
     t > 0 or an array of such times.
     """
-    rho1, rho2, rho3 = rho_terms(t, lambda2, b, n)
-    C = normalizer_C(lambda2, b, n)
-    out = np.maximum((np.asarray(rho1) + rho2 - rho3) / (2.0 * C), 0.0)
-    return out if out.ndim else float(out)
+    return _combine_rho(*rho_terms(t, lambda2, b, n), lambda2, b, n)
 
 
 def concentration_bound(
@@ -157,8 +161,7 @@ def concentration_bound(
     the serialized form, never clamped).
     """
     rho1, rho2, rho3 = rho_terms(q.t, lambda2, b, n)
-    C = normalizer_C(lambda2, b, n)
-    bound = max((rho1 + rho2 - rho3) / (2.0 * C), 0.0) / q.a
+    bound = _combine_rho(rho1, rho2, rho3, lambda2, b, n) / q.a
     return ConcentrationBound(
         rho1=rho1,
         rho2=rho2,

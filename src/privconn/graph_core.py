@@ -21,6 +21,7 @@ __all__ = [
     "SpectralSummary",
     "from_edge_list",
     "laplacian",
+    "laplacians",
     "spectrum",
     "is_connected",
     "symmetric_difference_size",
@@ -71,11 +72,7 @@ class Graph:
         return adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(np.array(list(self.edges), dtype=np.intp).ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,27 @@ def from_edge_list(text: str) -> Graph:
     return Graph(n=n, edges=frozenset(edges))
 
 
+def laplacians(n: int, pairs, weights) -> np.ndarray:
+    """Dense weighted Laplacians on n nodes, batched over weight vectors.
+
+    pairs is an (m, 2) array of distinct node pairs and weights an
+    (..., m) array; the result has shape (..., n, n), one Laplacian per
+    weight vector. Entries are subtracted from zeros, so an absent pair
+    stays +0.0 rather than -0.0, which eigvalsh does not treat alike.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    L = np.zeros(np.shape(weights)[:-1] + (n, n))
+    u, v = pairs[:, 0], pairs[:, 1]
+    L[..., u, v] -= weights
+    L[..., v, u] -= weights
+    diag = np.arange(n)
+    L[..., diag, diag] -= L.sum(-1)
+    return L
+
+
 def laplacian(graph: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as a dense float array."""
-    L = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-    return L
+    return laplacians(graph.n, list(graph.edges), np.ones(len(graph.edges)))
 
 
 def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:

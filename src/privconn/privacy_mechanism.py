@@ -37,8 +37,7 @@ __all__ = [
     "privatize",
 ]
 
-# Bisection bracket for the scale solve: [_B_LO, 1e4 * (2A / epsilon)].
-_B_LO = 1e-6
+# Bisection bracket for the scale solve: (0, 1e4 * (2A / epsilon)].
 _B_HI_FACTOR = 1e4
 
 
@@ -114,8 +113,8 @@ def delta_C(b: float, A: int, n: float) -> float:
     return normalizer_C(sens, b, n) / normalizer_C(0.0, b, n)
 
 
-def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> tuple[bool, bool]:
-    """(feasible, positive_denominator) for the scale inequality at b.
+def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> bool:
+    """Whether the scale inequality holds at b.
 
     The requirement is  b >= 2A / (epsilon - log delta_C(b) - log(1 - delta))
     with a positive denominator; rearranged, b * denom >= 2A. A negative
@@ -123,22 +122,22 @@ def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> tuple[bool,
     inequality holds vacuously.
     """
     denom = params.epsilon - math.log(delta_C(b, params.A, n)) - math.log1p(-params.delta)
-    if denom <= 0.0:
-        return False, False
-    return b * denom >= 2.0 * params.A, True
+    return denom > 0.0 and b * denom >= 2.0 * params.A
 
 
 def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
     """Smallest scale b meeting the (epsilon, delta) requirement on [0, n].
 
-    Bisects b - g(b) for g(b) = 2A / (epsilon - log delta_C(b) - log(1-delta))
-    over the bracket [1e-6, 1e4 * (2A / epsilon)]. The feasible set is an
-    upper ray, so the search brackets its boundary and returns the upper
-    end of the final interval: the result always satisfies the inequality
-    when substituted back, with absolute accuracy tol.
+    The requirement is b >= g(b) for
+    g(b) = 2A / (epsilon - log delta_C(b) - log(1-delta)); b times that
+    denominator increases in b, so the feasible set is an upper ray.
+    Bisection over (0, 1e4 * (2A / epsilon)] brackets its boundary and
+    returns the upper end of the final interval: the result always
+    satisfies the inequality when substituted back, with absolute
+    accuracy tol.
 
     Raises:
-        InfeasibleParamsError: if no scale in the bracket is feasible
+        InfeasibleParamsError: if the top of the bracket is infeasible
             (reported with the bracket), or if 2A > n.
     """
     if tol <= 0.0:
@@ -147,35 +146,14 @@ def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
         raise InfeasibleParamsError(
             f"sensitivity 2A = {2 * params.A} exceeds the support width n = {n}"
         )
-    lo = _B_LO
-    hi = _B_HI_FACTOR * (2.0 * params.A / params.epsilon)
-    ok_hi, _ = _scale_is_feasible(hi, params, n)
-    if not ok_hi:
-        any_positive = any(
-            _scale_is_feasible(b, params, n)[1]
-            for b in np.geomspace(lo, hi, 64)
-        )
-        reason = "denominator nonpositive throughout" if not any_positive else "inequality unmet"
+    lower, upper = 0.0, _B_HI_FACTOR * (2.0 * params.A / params.epsilon)
+    if not _scale_is_feasible(upper, params, n):
         raise InfeasibleParamsError(
-            f"no feasible scale in [{lo:g}, {hi:g}] for {params} on [0, {n}] ({reason})"
+            f"no feasible scale in (0, {upper:g}] for {params} on [0, {n}]"
         )
-    # Walk down geometrically until the inequality first breaks, which
-    # brackets the feasibility boundary.
-    upper = hi
-    lower = None
-    b = hi
-    while b > lo:
-        b = max(b * 0.5, lo)
-        if _scale_is_feasible(b, params, n)[0]:
-            upper = b
-        else:
-            lower = b
-            break
-    if lower is None:
-        return lo  # everything down to the bracket floor is feasible
     while upper - lower > tol:
         mid = 0.5 * (upper + lower)
-        if _scale_is_feasible(mid, params, n)[0]:
+        if _scale_is_feasible(mid, params, n):
             upper = mid
         else:
             lower = mid

@@ -17,14 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
 from .privacy_mechanism import normalizer_C
 
 __all__ = [
     "PropertyBoundReport",
-    "upper_incomplete_gamma_half",
-    "erfi",
     "diameter_bounds_exact",
     "mean_distance_bounds_exact",
     "optimize_alpha",
@@ -39,27 +35,6 @@ _ALPHA_LO = 1.0 + 1e-6
 _ALPHA_HI = 1e3
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUND_KINDS = ("diameter", "mean_distance")
-
-
-def upper_incomplete_gamma_half(x: float) -> float:
-    """Upper incomplete gamma function at shape 1/2: integral of
-    s^{-1/2} e^{-s} over [x, infinity). Equals sqrt(pi) * erfc(sqrt(x)).
-    """
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"need finite x >= 0, got {x}")
-    return float(special.gammaincc(0.5, x)) * math.sqrt(math.pi)
-
-
-def erfi(x: float) -> float:
-    """Imaginary error function on x >= 0, where it is real and increasing.
-
-    Related to the Dawson integral by erfi(x) = 2/sqrt(pi) e^{x^2} D(x);
-    it is how the below-center mass of E[1/sqrt(draw)] integrates before
-    the exponentially scaled rearrangement used there.
-    """
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"need finite x >= 0, got {x}")
-    return float(special.erfi(x))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -266,48 +241,27 @@ def expected_lambda2(lambda2: float, b: float, n: float) -> float:
     return num / (2.0 * C)
 
 
-def _scaled_upper_gamma_half(x: float) -> float:
-    """e^x * UpperGamma(1/2, x), stable for every x >= 0.
-
-    Direct product below x = 30; beyond that e^x overflows long before
-    the product stops being O(x^{-1/2}), so the asymptotic series
-    x^{-1/2} (1 - 1/(2x) + 3/(4x^2) - ...) takes over, truncated when
-    terms stop improving.
-    """
-    if x < 0.0:
-        raise ValueError(f"need x >= 0, got {x}")
-    if x <= 30.0:
-        return math.exp(x) * upper_incomplete_gamma_half(x)
-    total = term = 1.0
-    k = 0
-    while k < 25:
-        k += 1
-        nxt = term * (0.5 - k) / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return total / math.sqrt(x)
-
-
 def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:
     """Mean of 1/sqrt(private draw), in closed form.
 
     The integral splits at the center into a Dawson-function piece (below)
     and a difference of upper incomplete gamma functions (above); both are
-    evaluated in exponentially scaled form so no intermediate overflows.
-    Finite even though the draw can touch 0, because the density is
-    bounded there.
+    evaluated in exponentially scaled form, e^x Gamma(1/2, x) being
+    sqrt(pi) erfcx(sqrt(x)), so no intermediate overflows. Finite even
+    though the draw can touch 0, because the density is bounded there.
     """
+    # the only scipy use in the package; imported here so the CLI's
+    # release path never loads it
+    from scipy.special import dawsn, erfcx
+
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
-    below = 2.0 * float(special.dawsn(math.sqrt(lambda2 / b)))
-    above = _scaled_upper_gamma_half(lambda2 / b) - math.exp(
-        -(n - lambda2) / b
-    ) * _scaled_upper_gamma_half(n / b)
+    below = 2.0 * float(dawsn(math.sqrt(lambda2 / b)))
+    above = math.sqrt(math.pi) * (
+        float(erfcx(math.sqrt(lambda2 / b)))
+        - math.exp(-(n - lambda2) / b) * float(erfcx(math.sqrt(n / b)))
+    )
     return (below + above) / (2.0 * math.sqrt(b) * C)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus_analysis import RateErrorQuery, concentration_bound, expected_rate_error
-from .graph_core import Graph, spectrum
+from .graph_core import Graph, laplacians, spectrum
 from .privacy_mechanism import BoundedLaplaceDist, PrivacyParams, solve_scale_b
 from .property_bounds import expected_inv_sqrt_lambda2, expected_lambda2
 
@@ -89,27 +89,6 @@ def _edge_slots(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def _all_lambda2(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """lambda2 for every graph on n labelled nodes, indexed by edge bitmask."""
-    slots = _edge_slots(n)
-    m = len(slots)
-    count = 1 << m
-    bits = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(m)) & 1
-    L = np.zeros((count, n, n))
-    for j, (u, v) in enumerate(slots):
-        w = bits[:, j].astype(float)
-        L[:, u, v] -= w
-        L[:, v, u] -= w
-        L[:, u, u] += w
-        L[:, v, v] += w
-    vals = np.linalg.eigvalsh(L)
-    return slots, vals[:, 1]
-
-
-def _mask_edges(mask: int, slots: list[tuple[int, int]]) -> list[list[int]]:
-    return [list(slots[j]) for j in range(len(slots)) if (mask >> j) & 1]
-
-
 def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
     """Exhaustively confirm |lambda2(G) - lambda2(G')| <= 2A over all
     pairs of n-node graphs differing in at most A edges.
@@ -123,7 +102,7 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
         raise ValueError(f"exhaustive sensitivity audit supports 2 <= n <= {_MAX_SENSITIVITY_N}")
     if A < 1:
         raise ValueError(f"adjacency radius must be >= 1, got {A}")
-    slots, lam2 = _all_lambda2(n)
+    slots, lam2 = _enumerate_completions(n, frozenset(), frozenset())
     m = len(slots)
     bound = 2.0 * A
     idx = np.arange(1 << m)
@@ -160,8 +139,8 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
             "observed_max": observed,
             "graphs_scanned": 1 << m,
             "worst_pair_edges": [
-                _mask_edges(worst[0], slots),
-                _mask_edges(worst[1], slots),
+                [list(s) for s, bit in zip(slots, row) if bit]
+                for row in _mask_bits(worst, m).tolist()
             ],
         },
     )
@@ -413,12 +392,19 @@ def _normalize_known(n: int, edges) -> frozenset:
     return frozenset(out)
 
 
+def _mask_bits(masks: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds the k slot bits of masks[i], lowest slot first; uint8
+    keeps the 2^k-row matrix an eighth of the size of int64."""
+    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+
+
 def _enumerate_completions(
     n: int, known_present: frozenset, known_absent: frozenset
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """lambda2 of every graph that agrees with the adversary's knowledge.
 
-    Returns the unknown slots and an array indexed by completion bitmask.
+    Returns the unknown slots and an array indexed by completion bitmask;
+    with no knowledge that is every graph on n labelled nodes.
     """
     slots = _edge_slots(n)
     unknown = [s for s in slots if s not in known_present and s not in known_absent]
@@ -427,27 +413,18 @@ def _enumerate_completions(
         raise ValueError(
             f"{k} unknown edge slots means 2^{k} candidates; cap is 2^{_MAX_UNKNOWN_SLOTS}"
         )
-    count = 1 << k
-    bits = (np.arange(count, dtype=np.int64)[:, None] >> np.arange(max(k, 1))) & 1
-    L = np.zeros((n, n))
-    for u, v in known_present:
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-    Ls = np.broadcast_to(L, (count, n, n)).copy()
-    for j, (u, v) in enumerate(unknown):
-        w = bits[:, j].astype(float)
-        Ls[:, u, v] -= w
-        Ls[:, v, u] -= w
-        Ls[:, u, u] += w
-        Ls[:, v, v] += w
+    # known-present edges are slots whose bit is set in every completion
+    pairs = unknown + list(known_present)
+    always = ((1 << len(known_present)) - 1) << k
+    Ls = laplacians(n, pairs, _mask_bits(np.arange(1 << k) | always, len(pairs)))
     return unknown, np.linalg.eigvalsh(Ls)[:, 1]
 
 
 def _consistent_masks(
     n: int, known_present, known_absent, lambda2_observed: float, tol: float
 ) -> tuple[list[tuple[int, int]], frozenset, np.ndarray, int]:
+    """(unknown slots, known-present edges, slot bits of each consistent
+    completion, completions enumerated)."""
     if not 2 <= n <= _MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 2 <= n <= {_MAX_ENUMERATION_N}")
     if not tol > 0.0:
@@ -458,7 +435,25 @@ def _consistent_masks(
         raise ValueError(f"edges claimed both present and absent: {sorted(kp & ka)}")
     unknown, lam2 = _enumerate_completions(n, kp, ka)
     sel = np.flatnonzero(np.abs(lam2 - lambda2_observed) <= tol)
-    return unknown, kp, sel, int(lam2.size)
+    return unknown, kp, _mask_bits(sel, len(unknown)), int(lam2.size)
+
+
+def _completions(unknown, kp: frozenset, bits: np.ndarray) -> list[frozenset]:
+    return [kp | {slot for slot, bit in zip(unknown, row) if bit} for row in bits.tolist()]
+
+
+def _slot_frequencies(unknown, bits: np.ndarray) -> dict:
+    """Share of the candidates containing each unknown slot (nan if none)."""
+    if not len(bits):
+        return dict.fromkeys(unknown, math.nan)
+    return dict(zip(unknown, bits.mean(0).tolist()))
+
+
+def _disclosed(freqs: dict) -> tuple[tuple, tuple]:
+    """Slots present in every candidate, and slots present in none."""
+    present = tuple(s for s, f in freqs.items() if f == 1.0)
+    absent = tuple(s for s, f in freqs.items() if f == 0.0)
+    return present, absent
 
 
 def enumerate_consistent_graphs(
@@ -475,12 +470,8 @@ def enumerate_consistent_graphs(
     order their edges were given in; tol = inf drops the value constraint
     and returns the whole knowledge-consistent family.
     """
-    unknown, kp, sel, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
-    out = []
-    for mask in sel:
-        extra = {unknown[j] for j in range(len(unknown)) if (int(mask) >> j) & 1}
-        out.append(Graph(n=n, edges=frozenset(kp | extra)))
-    return out
+    unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
+    return [Graph(n=n, edges=edges) for edges in _completions(unknown, kp, bits)]
 
 
 @dataclass(frozen=True)
@@ -524,24 +515,17 @@ def exact_value_attack(
     candidate frequency. An empty candidate set means the claimed value
     contradicts the claimed knowledge.
     """
-    unknown, kp, sel, _ = _consistent_masks(n, known_present, known_absent, value, tol)
-    candidates = []
-    for mask in sel:
-        extra = {unknown[j] for j in range(len(unknown)) if (int(mask) >> j) & 1}
-        candidates.append(frozenset(kp | extra))
-    freqs = {}
-    for j, slot in enumerate(unknown):
-        hits = sum(1 for mask in sel if (int(mask) >> j) & 1)
-        freqs[slot] = hits / len(sel) if len(sel) else math.nan
-    inferred_present = tuple(s for s in unknown if freqs.get(s) == 1.0)
-    inferred_absent = tuple(s for s in unknown if freqs.get(s) == 0.0)
+    unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, value, tol)
+    candidates = _completions(unknown, kp, bits)
+    freqs = _slot_frequencies(unknown, bits)
+    inferred_present, inferred_absent = _disclosed(freqs)
     return AttackResult(
         n=n,
         value=value,
         tol=tol,
         candidate_count=len(candidates),
         inferred_present=inferred_present,
-        inferred_absent=inferred_absent if len(sel) else (),
+        inferred_absent=inferred_absent,
         edge_frequencies=freqs,
         candidates=tuple(candidates),
     )
@@ -593,21 +577,14 @@ def attack_under_noise(
     if b <= 0.0:
         raise ValueError(f"scale must be positive, got {b}")
     w = b * math.log(1.0 / (1.0 - coverage))
-    unknown, _, sel, total = _consistent_masks(n, known_present, known_absent, release_value, w)
-    inferred_present = []
-    inferred_absent = []
-    for j, slot in enumerate(unknown):
-        hits = sum(1 for mask in sel if (int(mask) >> j) & 1)
-        if len(sel) and hits == len(sel):
-            inferred_present.append(slot)
-        elif len(sel) and hits == 0:
-            inferred_absent.append(slot)
+    unknown, _, bits, total = _consistent_masks(n, known_present, known_absent, release_value, w)
+    inferred_present, inferred_absent = _disclosed(_slot_frequencies(unknown, bits))
     return NoisyAttackResult(
         n=n,
         release_value=release_value,
         window_halfwidth=w,
-        plausible_count=int(sel.size),
+        plausible_count=len(bits),
         knowledge_consistent_count=total,
-        inferred_present=tuple(inferred_present),
-        inferred_absent=tuple(inferred_absent),
+        inferred_present=inferred_present,
+        inferred_absent=inferred_absent,
     )

@@ -50,6 +50,15 @@ def _report(num: int, passed: bool, detail: str) -> None:
 
 
 def test_criterion_01_noise_scale_matches_documented_value():
+    """Pins b = 7.39 for (0.4, 0.05, A = 1) at n = 10; red on purpose.
+
+    Where 7.39 may come from: the undamped iteration b <- g(b) on the
+    scale inequality, started at 2A/epsilon = 5, runs 10.774, 6.363,
+    8.573, 7.069, 7.937, 7.378, ... and converges to 7.583, the value
+    the solver returns. The sixth iterate lies inside the pin's
+    +/- 0.01, so an early-stopped iteration is a plausible source. The
+    pin stays until the program, not the pin, changes.
+    """
     t0 = time.monotonic()
     b = solve_scale_b(P, 10.0)
     elapsed = time.monotonic() - t0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +96,41 @@ class TestPrivatize:
         path.write_text(DIAMOND)
         code, _ = run(capsys, ["privatize", "--input", str(path)])
         assert code == 4
+
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        import privconn.cli as cli_mod
+
+        def too_big(*args, **kwargs):
+            # what numpy raises for the n x n Laplacian of an n = 100000 graph
+            raise MemoryError(
+                "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+            )
+
+        monkeypatch.setattr(cli_mod, "privatize", too_big)
+        path = tmp_path / "g.txt"
+        path.write_text(DIAMOND)
+        code = main(["privatize", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "74.5 GiB" in err
+        assert "Traceback" not in err
+
+    def test_release_path_does_not_load_scipy(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(DIAMOND)
+        script = (
+            "import sys, privconn.cli\n"
+            f"code = privconn.cli.main(['privatize', '--input', {str(path)!r}, '--seed', '1'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConsensus:

@@ -17,6 +17,7 @@ from privconn import (
     spectrum,
     symmetric_difference_size,
 )
+from privconn.graph_core import laplacians
 
 import oracles as oc
 
@@ -101,6 +102,28 @@ class TestGraphType:
     def test_value_semantics(self):
         assert _graph(4, [(0, 1)]) == _graph(4, [(1, 0)])
         assert _graph(4, [(0, 1)]) != _graph(5, [(0, 1)])
+
+
+class TestLaplacianBuilder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_batch_matches_per_graph_and_integer_oracle(self, n):
+        slots = oc.edge_slots(n)
+        edge_sets = list(oc.all_edge_sets(n))
+        weights = [[float(s in edges) for s in slots] for edges in edge_sets]
+        batch = laplacians(n, slots, weights)
+        assert batch.shape == (len(edge_sets), n, n)
+        for L, edges in zip(batch, edge_sets):
+            single = laplacian(Graph(n=n, edges=edges))
+            assert np.array_equal(L, single)
+            assert L.tolist() == oc.laplacian_int(n, edges)
+            # absent pairs are +0.0: eigvalsh output depends on the sign
+            for M in (L, single):
+                assert not np.signbit(M[M == 0.0]).any()
+
+    def test_degrees_match_the_diagonal(self):
+        for edges in oc.all_edge_sets(5):
+            g = Graph(n=5, edges=edges)
+            assert g.degrees().tolist() == np.diag(laplacian(g)).tolist()
 
 
 class TestSpectrum:

@@ -7,7 +7,6 @@ from scipy import special
 
 from privconn import (
     diameter_bounds_exact,
-    erfi,
     exact_bounds,
     expected_bounds,
     expected_inv_sqrt_lambda2,
@@ -16,7 +15,6 @@ from privconn import (
     min_degree_inference,
     optimize_alpha,
     spectrum,
-    upper_incomplete_gamma_half,
 )
 
 import oracles as oc
@@ -24,35 +22,37 @@ import oracles as oc
 ALPHAS = (1.5, 2.0, math.e, 4.0)
 
 
-class TestSpecialFunctions:
-    def test_gamma_half_matches_mpmath(self):
-        for x in np.geomspace(1e-8, 500.0, 60):
-            want = float(mp.gammainc(mp.mpf("0.5"), float(x)))
-            assert upper_incomplete_gamma_half(float(x)) == pytest.approx(
-                want, rel=1e-10
-            )
-        assert upper_incomplete_gamma_half(0.0) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-14
-        )
+class TestScaledSpecialFunctions:
+    """The library special functions expected_inv_sqrt_lambda2 is built
+    from, called the way it calls them."""
 
-    def test_gamma_half_erfc_identity(self):
+    def test_scaled_gamma_half_matches_mpmath(self):
+        # e^x Gamma(1/2, x) = sqrt(pi) erfcx(sqrt(x)), past where e^x overflows
+        for x in np.geomspace(1e-8, 1e8, 80):
+            want = mp.exp(mp.mpf(x)) * mp.gammainc(mp.mpf("0.5"), mp.mpf(x))
+            got = math.sqrt(math.pi) * float(special.erfcx(math.sqrt(x)))
+            assert got == pytest.approx(float(want), rel=1e-13)
+        assert float(special.erfcx(0.0)) == 1.0
+
+    def test_scaled_gamma_half_erfc_identity(self):
+        # unscaled, the same product is sqrt(pi) erfc(sqrt(x)) while e^-x is normal
         for x in np.geomspace(1e-6, 200.0, 40):
             want = math.sqrt(math.pi) * float(special.erfc(math.sqrt(x)))
-            assert upper_incomplete_gamma_half(float(x)) == pytest.approx(
-                want, rel=1e-12, abs=5e-300
-            )
+            got = math.sqrt(math.pi) * float(special.erfcx(math.sqrt(x))) * math.exp(-x)
+            assert got == pytest.approx(want, rel=1e-12, abs=5e-300)
 
-    def test_erfi_matches_mpmath(self):
+    def test_dawson_piece_matches_erfi(self):
+        # the below-center mass: 2 D(x) = sqrt(pi) e^{-x^2} erfi(x)
         for x in np.geomspace(1e-8, 25.0, 50):
-            want = float(mp.erfi(float(x)))
-            assert erfi(float(x)) == pytest.approx(want, rel=1e-10)
-        assert erfi(0.0) == 0.0
+            want = math.sqrt(math.pi) * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(mp.mpf(x))
+            assert 2.0 * float(special.dawsn(x)) == pytest.approx(float(want), rel=1e-10)
+        assert float(special.dawsn(0.0)) == 0.0
 
-    def test_negative_arguments_raise(self):
+    def test_center_outside_the_support_raises(self):
         with pytest.raises(ValueError):
-            upper_incomplete_gamma_half(-1e-9)
+            expected_inv_sqrt_lambda2(-1e-9, 1.0, 5.0)
         with pytest.raises(ValueError):
-            erfi(-0.5)
+            expected_inv_sqrt_lambda2(5.0 + 1e-9, 1.0, 5.0)
 
 
 class TestExactBoundsSandwich:
@@ -174,8 +174,14 @@ class TestExpectedMoments:
             (0.0, 2.0, 6.0),
             (6.0, 2.0, 6.0),
             (2.5, 0.3, 5.0),
-            (4.0, 0.25, 10.0),   # n/b = 40 takes the asymptotic tail
+            (4.0, 0.25, 10.0),   # n/b = 40
             (24.0, 31.0, 25.0),
+            # lambda2/b > 30 and n/b >> 30, where e^x Gamma(1/2, x) needs
+            # the scaled form
+            (20.0, 0.5, 40.0),
+            (9.0, 0.1, 10.0),
+            (50.0, 1.0, 1000.0),
+            (3.0, 0.002, 6.0),
         ],
     )
     def test_match_quadrature(self, lam2, b, n):

@@ -16,6 +16,8 @@ from privconn import (
     solve_scale_b,
 )
 
+import oracles as oc
+
 P = PrivacyParams(epsilon=0.4, delta=0.05, A=1)
 
 
@@ -251,6 +253,33 @@ class TestExactValueAttack:
         assert (1, 2) in r.inferred_present
         assert (1, 3) not in r.inferred_present
         assert (1, 3) not in r.inferred_absent
+
+    def test_frequencies_match_a_count_over_the_candidates(self):
+        # loop reference for the vectorized slot counting, exact/noisy alike
+        rng = np.random.default_rng(5)
+        slots = oc.edge_slots(6)
+        for _ in range(12):
+            kp = [s for s in slots[:9] if rng.random() < 0.5]
+            ka = [s for s in slots[:9] if s not in kp]
+            value = float(rng.uniform(0.0, 4.0))
+            noisy = attack_under_noise(6, value, 0.3, 0.5, kp, ka)
+            w = noisy.window_halfwidth
+            r = exact_value_attack(6, value, kp, ka, tol=w)
+            unknown = slots[9:]
+            for slot in unknown:
+                hits = sum(slot in c for c in r.candidates)
+                want = hits / len(r.candidates) if r.candidates else math.nan
+                got = r.edge_frequencies[slot]
+                assert got == want or (math.isnan(got) and math.isnan(want))
+            window = [g.edges for g in enumerate_consistent_graphs(6, kp, ka, value, w)]
+            assert window == list(r.candidates)
+            assert noisy.plausible_count == len(window)
+            assert noisy.inferred_present == tuple(
+                s for s in unknown if window and all(s in e for e in window)
+            )
+            assert noisy.inferred_absent == tuple(
+                s for s in unknown if window and not any(s in e for e in window)
+            )
 
     def test_dict_is_json_shaped(self):
         import json
