@@ -207,19 +207,23 @@ def settle_time(q: RateErrorQuery, lambda2: float, b: float, n: float) -> float:
 def worst_case_settle_time(
     q: RateErrorQuery, b: float, n: float, grid_points: int = 10_000
 ) -> float:
-    """Largest settle time over possible connectivity values in (0, n].
+    """Largest settle time over connectivity values in [n/grid_points, n].
 
     The analyst does not know the true lambda2, so the settle time is
-    maximized over a dense grid plus the branch points of the closed form
-    (n/2 where the formula switches, n where the upper branch peaks). The
-    settle time grows like 1/lambda2 toward 0; the grid floor
-    n/grid_points is how close to disconnection the sweep looks, and the
-    maximum lands there.
+    maximized over it; the floor n/grid_points is how close to
+    disconnection it looks. The larger of the two end values is the exact
+    maximum. On (0, n/2] every term of the lower branch falls as lambda2
+    grows: the hump's two positive factors, exp(-lambda2/b) -
+    exp((lambda2 - n)/b) and b/(lambda2 e), fall, and 1/base falls
+    because the normalizer C rises toward n/2. On (n/2, n] the value is
+    1/b + 1/(base * b) with C falling, so it rises toward n. The hump is
+    zero at n/2, where the value is smallest, so n/2 never wins.
     """
     if q.eta is None:
         raise ValueError("settle-time queries need eta set on the query")
     if grid_points < 2:
         raise ValueError("grid must have at least 2 points")
-    grid = np.linspace(n / grid_points, n, grid_points)
-    candidates = np.append(grid, [n / 2.0, float(n)])
-    return max(_settle(float(lam), b, n, q.a, q.eta) for lam in candidates)
+    return max(
+        _settle(n / grid_points, b, n, q.a, q.eta),
+        _settle(float(n), b, n, q.a, q.eta),
+    )

@@ -142,10 +142,6 @@ def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if n < 2.0 * params.A:
-        raise InfeasibleParamsError(
-            f"sensitivity 2A = {2 * params.A} exceeds the support width n = {n}"
-        )
     lower, upper = 0.0, _B_HI_FACTOR * (2.0 * params.A / params.epsilon)
     if not _scale_is_feasible(upper, params, n):
         raise InfeasibleParamsError(
@@ -228,17 +224,13 @@ class BoundedLaplaceDist:
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw by inverse transform; same seed, same draws."""
-        u = rng.random(size=size)
+        u = rng.random(size=() if size is None else size)
         # rng.random covers [0, 1); redraw the (measure-zero) exact zeros
         # so the quantile function stays inside its open domain.
-        if size is None:
-            while u == 0.0:
-                u = rng.random()
-        else:
+        mask = u == 0.0
+        while mask.any():
+            u[mask] = rng.random(size=int(mask.sum()))
             mask = u == 0.0
-            while mask.any():
-                u[mask] = rng.random(size=int(mask.sum()))
-                mask = u == 0.0
         return self.inverse_cdf(u)
 
 

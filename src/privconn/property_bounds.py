@@ -105,7 +105,7 @@ def mean_distance_bounds_exact(
     return _mean_distance_lower(1.0 / lambda2, n), _mean_distance_upper(S, n, alpha)
 
 
-def _golden_min(objective, n: int) -> float:
+def _golden_min(objective) -> float:
     """Base minimizing an upper-bound objective, by golden section.
 
     The objectives are smooth on (1, inf), fall then rise, so a golden
@@ -132,9 +132,9 @@ def _golden_min(objective, n: int) -> float:
 
 def _best_alpha(bound_kind: str, S: float, n: int) -> float:
     if bound_kind == "diameter":
-        return _golden_min(lambda alpha: _diameter_upper(S, n, alpha), n)
+        return _golden_min(lambda alpha: _diameter_upper(S, n, alpha))
     if bound_kind == "mean_distance":
-        return _golden_min(lambda alpha: _mean_distance_upper(S, n, alpha), n)
+        return _golden_min(lambda alpha: _mean_distance_upper(S, n, alpha))
     raise ValueError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
 
 

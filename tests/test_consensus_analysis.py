@@ -3,14 +3,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privconn import (
     ConcentrationBound,
+    PrivacyParams,
     RateErrorQuery,
     concentration_bound,
     expected_rate_error,
     rho_terms,
     settle_time,
+    solve_scale_b,
     true_rate,
     worst_case_settle_time,
 )
@@ -232,3 +236,36 @@ class TestSettleTime:
         q = RateErrorQuery(t=1.0, a=0.2, eta=0.05)
         worst = worst_case_settle_time(q, B, N, grid_points=500)
         assert settle_time(q, N / 2.0, B, N) <= worst + 1e-9
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 500, 10_000])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 1e4])
+    def test_worst_case_is_the_maximum_of_the_sweep(self, n, grid_points):
+        """The two end values equal, bit for bit, the maximum over the
+        sweep they replace: grid_points even steps from n/grid_points to
+        n, plus the branch point n/2."""
+        rates = np.append(np.linspace(n / grid_points, n, grid_points), n / 2.0)
+        for eps in (0.05, 0.4, 2.0):
+            b = solve_scale_b(PrivacyParams(epsilon=eps, delta=0.05), float(n))
+            for a, eta in ((0.2, 0.05), (1.0, 0.01), (0.05, 0.5)):
+                q = RateErrorQuery(t=1.0, a=a, eta=eta)
+                sweep = max(settle_time(q, float(lam), b, n) for lam in rates)
+                assert worst_case_settle_time(q, b, n, grid_points) == sweep
+
+    @given(
+        n=st.floats(2.0, 1e5),
+        b=st.floats(1e-2, 1e6),
+        a=st.floats(1e-3, 3.0),
+        eta=st.floats(1e-4, 0.999),
+        fracs=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_falls_up_to_the_midpoint_then_rises(self, n, b, a, eta, fracs):
+        """Why two end values are the worst case: the settle time does not
+        rise on (0, n/2] and does not fall on [n/2, n]."""
+        q = RateErrorQuery(t=1.0, a=a, eta=eta)
+        fracs = sorted(fracs)
+        lower = [settle_time(q, f * n / 2.0, b, n) for f in fracs]
+        upper = [settle_time(q, n / 2.0 + f * n / 2.0, b, n) for f in [0.0] + fracs]
+        slack = 1e-12
+        assert all(y <= x * (1.0 + slack) for x, y in zip(lower, lower[1:]))
+        assert all(y >= x * (1.0 - slack) for x, y in zip(upper, upper[1:]))

@@ -237,6 +237,18 @@ class TestBoundedLaplace:
         assert np.array_equal(a, b)
         assert isinstance(self.DIST.sample(np.random.default_rng(0)), float)
 
+    def test_exact_zero_draws_are_redrawn(self):
+        """rng.random covers [0, 1) and the quantile needs (0, 1): zeros
+        are replaced, in order, by the next doubles of the same stream,
+        and a zero among the replacements is replaced again."""
+        rest = np.random.default_rng(8).random(6)
+        got = self.DIST.sample(_ZerosFirst(3, rest))
+        assert isinstance(got, float)
+        assert got == self.DIST.inverse_cdf(rest[0])
+        got = self.DIST.sample(_ZerosFirst(7, rest), size=(2, 3))
+        want_u = np.array([rest[5], rest[0], rest[1], rest[2], rest[3], rest[4]])
+        assert np.array_equal(got, self.DIST.inverse_cdf(want_u.reshape(2, 3)))
+
     def test_samples_follow_the_cdf(self):
         """Kolmogorov-Smirnov distance at 1e6 draws; 0.002 is ~4x the
         99th-percentile KS quantile, far above seed-to-seed wobble."""
@@ -248,6 +260,19 @@ class TestBoundedLaplace:
         k = np.arange(1, draws.size + 1) / draws.size
         ks = float(np.abs(grid - k).max())
         assert ks < 0.002
+
+
+class _ZerosFirst:
+    """Stands in for a Generator whose first doubles are exact zeros."""
+
+    def __init__(self, zeros, rest):
+        self._doubles = iter([0.0] * zeros + list(rest))
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._doubles)
+        shape = np.empty(size).shape
+        return np.fromiter(self._doubles, float, count=math.prod(shape)).reshape(shape)
 
 
 class TestPrivatize:
