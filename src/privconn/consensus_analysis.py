@@ -88,10 +88,10 @@ class ConcentrationBound:
 
 
 def _check_inputs(lambda2: float, b: float, n: float) -> None:
-    if b <= 0.0:
-        raise ValueError(f"scale must be positive, got {b}")
-    if n <= 0.0:
-        raise ValueError(f"domain width must be positive, got {n}")
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ValueError(f"scale must be positive and finite, got {b}")
+    if not (n > 0.0 and math.isfinite(n)):
+        raise ValueError(f"domain width must be positive and finite, got {n}")
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
 
@@ -223,6 +223,7 @@ def worst_case_settle_time(
         raise ValueError("settle-time queries need eta set on the query")
     if grid_points < 2:
         raise ValueError("grid must have at least 2 points")
+    _check_inputs(float(n), b, n)
     return max(
         _settle(n / grid_points, b, n, q.a, q.eta),
         _settle(float(n), b, n, q.a, q.eta),

@@ -251,6 +251,13 @@ class TestSettleTime:
                 sweep = max(settle_time(q, float(lam), b, n) for lam in rates)
                 assert worst_case_settle_time(q, b, n, grid_points) == sweep
 
+    @pytest.mark.parametrize(
+        "b, n", [(7.5, 0.0), (7.5, math.inf), (math.nan, 10.0), (7.5, math.nan)]
+    )
+    def test_worst_case_rejects_a_bad_scale_or_width(self, b, n):
+        with pytest.raises(ValueError):
+            worst_case_settle_time(RateErrorQuery(t=1.0, a=0.1, eta=0.1), b, n)
+
     @given(
         n=st.floats(2.0, 1e5),
         b=st.floats(1e-2, 1e6),

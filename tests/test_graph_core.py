@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ import oracles as oc
 
 def _graph(n, edges):
     return Graph.from_edges(n, edges)
+
+
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
 
 
 C4 = _graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -221,9 +226,9 @@ class TestDistances:
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 150:
-            n = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 41))
             slots = oc.edge_slots(n)
-            keep = rng.random(len(slots)) < 0.45
+            keep = rng.random(len(slots)) < rng.uniform(0.1, 0.45)
             edges = frozenset(s for s, k in zip(slots, keep) if k)
             if not oc.union_find_connected(n, edges):
                 continue
@@ -239,12 +244,59 @@ class TestDistances:
         assert mean_distance_exact(P4) == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert diameter_exact(P4) == 3
 
-    def test_disconnected_distances_raise(self):
-        g = _graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="disconnected"):
-            diameter_exact(g)
-        with pytest.raises(ValueError, match="disconnected"):
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 300])
+    def test_path_closed_form(self, n):
+        g = _graph(n, _path_edges(n))
+        assert diameter_exact(g) == n - 1
+        assert mean_distance_exact(g) == float(Fraction(n + 1, 3))
+
+    @pytest.mark.parametrize("n", [3, 4, 64, 65, 301])
+    def test_cycle_closed_form(self, n):
+        g = _graph(n, _path_edges(n) + [(0, n - 1)])
+        mean = Fraction(n * n, 4 * (n - 1)) if n % 2 == 0 else Fraction(n + 1, 4)
+        assert diameter_exact(g) == n // 2
+        assert mean_distance_exact(g) == float(mean)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_hypercube_closed_form(self, d):
+        n = 2**d
+        g = _graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)])
+        assert diameter_exact(g) == d
+        assert mean_distance_exact(g) == float(Fraction(d * 2 ** (d - 1), n - 1))
+
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_grid_diameter(self, k):
+        edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+        edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+        assert diameter_exact(_graph(k * k, edges)) == 2 * (k - 1)
+
+    @pytest.mark.parametrize("n", [3, 10, 257])
+    def test_star_closed_form(self, n):
+        g = _graph(n, [(0, i) for i in range(1, n)])
+        assert diameter_exact(g) == 2
+        assert mean_distance_exact(g) == float(Fraction(2 * (n - 1), n))
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_complete_closed_form(self, n):
+        g = _graph(n, oc.edge_slots(n))
+        assert diameter_exact(g) == 1
+        assert mean_distance_exact(g) == 1.0
+
+    def test_single_node(self):
+        g = Graph(n=1, edges=frozenset())
+        assert diameter_exact(g) == 0
+        with pytest.raises(ValueError, match="at least 2 nodes"):
             mean_distance_exact(g)
+
+    def test_disconnected_distances_raise(self):
+        two_edges = _graph(4, [(0, 1), (2, 3)])
+        # two 40-node paths: the squaring runs several rounds, then stalls
+        two_paths = _graph(80, _path_edges(40) + [(u + 40, v + 40) for u, v in _path_edges(40)])
+        for g in (two_edges, two_paths):
+            with pytest.raises(ValueError, match="disconnected"):
+                diameter_exact(g)
+            with pytest.raises(ValueError, match="disconnected"):
+                mean_distance_exact(g)
 
 
 _SLOTS5 = oc.edge_slots(5)
