@@ -31,7 +31,7 @@ from .consensus_analysis import (
 )
 from .errors import InfeasibleParamsError, NumericalError
 from .graph_core import from_edge_list, spectrum
-from .privacy_mechanism import PrivacyParams, normalizer_C, privatize, solve_scale_b
+from .privacy_mechanism import PrivacyParams, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
     _MAX_SENSITIVITY_N,
@@ -124,7 +124,7 @@ def _cmd_privatize(args) -> int:
             "A": params.A,
             "seed": args.seed,
         },
-        public={"n": release.n, "b": release.scale_b, "C": release.normalizer_C},
+        public={"n": release.n, "b": release.scale_b},
         results={"lambda2_tilde": release.lambda2_tilde},
     )
     _emit(report, args.output)
@@ -166,7 +166,7 @@ def _cmd_consensus(args) -> int:
             "eta": args.eta,
             "t_grid": args.t_grid,
         },
-        public={"b": b, "C": normalizer_C(args.lambda2, b, n)},
+        public={"b": b},
         results={
             "settle_time": settle_time(query, args.lambda2, b, n),
             "worst_case_settle_time": worst_case_settle_time(query, b, n),

@@ -7,14 +7,24 @@ with an explicit residual check, and Seidel's all-pairs algorithm for
 the exact distances. Seidel costs O(n^3 log diameter) in BLAS matrix
 products against O(n m) for n BFS passes in Python, so BFS is faster only
 on long thin graphs: paths beyond about 2,000 nodes (at 3,072 nodes a
-call takes ~10 s against BFS's ~7 s). BFS remains for the connectivity
+pass takes ~10 s against BFS's ~7 s). BFS remains for the connectivity
 check.
+
+A Graph never changes after construction, so each graph runs at most one
+Seidel pass: the diameter and the distance sum are cached together on
+the instance (never in a table keyed on the graph's value), as is the
+(m, 2) edge array the Laplacian, the degrees and Seidel all start from.
+Seidel's products run in float32 wherever that is exact: the squaring
+products are only compared with zero, and every unwinding entry and
+partial sum is an integer no larger than (n-1)^2, which float32 holds
+exactly while it is at most 2^24 (n <= 4096).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +44,10 @@ __all__ = [
     "mean_distance_exact",
     "min_degree",
 ]
+
+
+# float32 holds every integer up to 2^24 exactly
+_F32_EXACT = 2**24
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -76,8 +90,25 @@ class Graph:
             adj[v].append(u)
         return adj
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) intp array, built once."""
+        pairs = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
+
+    @cached_property
+    def _distance_summary(self) -> tuple[int, int]:
+        """(diameter, sum of all n^2 hop distances) from one Seidel pass.
+
+        An exception is not cached, so a disconnected graph raises on
+        every access.
+        """
+        D = _all_pairs_distances(self)
+        return int(D.max()), int(D.sum())
+
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.array(list(self.edges), dtype=np.intp).ravel(), minlength=self.n)
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -154,15 +185,16 @@ def laplacians(n: int, pairs, weights) -> np.ndarray:
 
 def laplacian(graph: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as a dense float array."""
-    return laplacians(graph.n, list(graph.edges), np.ones(len(graph.edges)))
+    return laplacians(graph.n, graph.pairs, np.ones(len(graph.edges)))
 
 
 def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
     """Full Laplacian spectrum with a residual-certified accuracy of tol.
 
     Eigenvalues come from a dense symmetric eigendecomposition. Each pair
-    (value, vector) is then checked against the residual ||L v - w v||,
-    which for symmetric matrices bounds the eigenvalue error directly.
+    (value, unit vector) is then checked against the residual 2-norm
+    ||L v - w v||, which for symmetric matrices bounds the eigenvalue
+    error directly.
     Values within tol of the theoretical range [0, n] are snapped onto it
     so that exact-zero and exact-n cases survive roundoff.
 
@@ -179,7 +211,10 @@ def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
         w, V = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    residual = np.abs(L @ V - V * w).max()
+    # the eigenvalue bound needs each column's 2-norm, not its largest entry
+    R = L @ V
+    R -= V * w
+    residual = np.linalg.norm(R, axis=0).max()
     if residual > tol:
         raise NumericalError(
             f"eigenvalue residual {residual:.3e} exceeds tolerance {tol:.3e}"
@@ -225,16 +260,21 @@ def _all_pairs_distances(graph: Graph) -> np.ndarray:
     is complete takes about log2(diameter) matrix products; unwinding the
     squares takes as many again. A squaring product is only compared with
     zero, and a sum of nonnegative terms is zero only when every term is,
-    so float32 is exact there. An unwinding product entry is an integer no
-    larger than n * diameter <= n^2, so float64 holds it exactly for any n
-    whose n x n matrix fits in memory. The squares are kept as bool and
-    converted one at a time, which keeps the peak memory below that of
-    the eigensolve.
+    so float32 is exact there. In the unwinding, T @ Aj, T * deg and T are
+    nonnegative integers no larger than (n-1) * diameter <= (n-1)^2, and
+    so is every partial sum of a product, in any summation order. The
+    unwinding therefore runs in float32 while n^2 <= 2^24 (n <= 4096), and
+    in float64, exact for any n whose n x n matrix fits in memory, above
+    that. The squares are kept as bool and converted one at a time, which
+    keeps the peak memory below that of the eigensolve.
+
+    Graph caches what the public callers need from the result, so each
+    graph pays for this pass at most once.
     """
     n = graph.n
-    pairs = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    u, v = graph.pairs.T
     A = np.zeros((n, n), dtype=bool)
-    A[pairs[:, 0], pairs[:, 1]] = A[pairs[:, 1], pairs[:, 0]] = True
+    A[u, v] = A[v, u] = True
     complete = n * (n - 1)
     squares = []
     while np.count_nonzero(A) < complete:
@@ -249,13 +289,14 @@ def _all_pairs_distances(graph: Graph) -> np.ndarray:
         A = B
     # distances in the complete graph A are 1 off the diagonal; one level
     # down, pairs adjacent in the last square are 1 apart and the rest 2
-    T = 1.0 - np.eye(n)
+    unwind = np.float32 if n * n <= _F32_EXACT else np.float64
+    T = 1.0 - np.eye(n, dtype=unwind)
     if squares:
         T = 2.0 * T - squares.pop()
     # T holds the distances in the square of Aj; a pair's distance in Aj
     # is 2T, less 1 when its neighbours' T average below T (Seidel's rule)
     for Aj in reversed(squares):
-        Af = Aj.astype(float)
+        Af = Aj.astype(unwind)
         deg = Af.sum(axis=0)
         less = T @ Af
         np.multiply(T, deg, out=Af)
@@ -267,7 +308,7 @@ def _all_pairs_distances(graph: Graph) -> np.ndarray:
 
 def diameter_exact(graph: Graph) -> int:
     """Largest hop distance over all node pairs (Seidel's algorithm, exact)."""
-    return int(_all_pairs_distances(graph).max())
+    return graph._distance_summary[0]
 
 
 def mean_distance_exact(graph: Graph) -> float:
@@ -275,7 +316,7 @@ def mean_distance_exact(graph: Graph) -> float:
     n = graph.n
     if n < 2:
         raise ValueError("mean distance needs at least 2 nodes")
-    return int(_all_pairs_distances(graph).sum()) / (n * (n - 1))
+    return graph._distance_summary[1] / (n * (n - 1))
 
 
 def min_degree(graph: Graph) -> int:

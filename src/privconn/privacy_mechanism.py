@@ -238,13 +238,13 @@ class BoundedLaplaceDist:
 class PrivateRelease:
     """A single private observation of lambda2 plus its public mechanism stats.
 
-    Carries everything safe to publish: the draw, the scale, the
-    normalizer, the domain, and the budget. Never the true lambda2.
+    Carries everything safe to publish: the draw, the scale, the domain,
+    and the budget. Never the true lambda2 nor anything computed from it,
+    such as the truncation normalizer C, which is invertible in lambda2.
     """
 
     lambda2_tilde: float
     scale_b: float
-    normalizer_C: float
     n: int
     params: PrivacyParams
 
@@ -252,7 +252,6 @@ class PrivateRelease:
         return {
             "lambda2_tilde": self.lambda2_tilde,
             "b": self.scale_b,
-            "C": self.normalizer_C,
             "n": self.n,
             "epsilon": self.params.epsilon,
             "delta": self.params.delta,
@@ -274,7 +273,6 @@ def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> 
     return PrivateRelease(
         lambda2_tilde=draw,
         scale_b=b,
-        normalizer_C=dist.normalizer,
         n=graph.n,
         params=params,
     )

@@ -55,6 +55,23 @@ class TestPrivatize:
         rep2.pop("generated_at")
         assert rep1 == rep2
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_public_statistics_do_not_depend_on_the_graph(self, capsys, tmp_path, seed):
+        # the 10-node path and cycle share n but not lambda2 (0.098 vs 0.382)
+        path = tmp_path / "path.txt"
+        path.write_text("n=10\n" + "".join(f"{i} {i + 1}\n" for i in range(9)))
+        cycle = tmp_path / "cycle.txt"
+        cycle.write_text(path.read_text() + "0 9\n")
+        _, rep1 = run_json(capsys, ["privatize", "--input", str(path), "--seed", seed])
+        _, rep2 = run_json(capsys, ["privatize", "--input", str(cycle), "--seed", seed])
+        assert rep1["public_statistics"] == rep2["public_statistics"]
+        assert rep1["results"]["lambda2_tilde"] != rep2["results"]["lambda2_tilde"]
+        for rep in (rep1, rep2):
+            rep.pop("generated_at")
+            rep["inputs"].pop("input")
+            rep["results"].pop("lambda2_tilde")
+        assert rep1 == rep2
+
     def test_reads_stdin_dash(self, capsys, monkeypatch):
         import io
 
@@ -149,6 +166,7 @@ class TestConsensus:
         assert rep["results"]["settle_time"] > 0.0
         assert rep["results"]["worst_case_settle_time"] >= rep["results"]["settle_time"]
         assert rep["public_statistics"]["b"] == pytest.approx(7.583004, abs=1e-4)
+        assert set(rep["public_statistics"]) == {"b"}
 
     def test_csv_curve(self, capsys):
         code, out = run(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from privconn import (
     EdgeListError,
     Graph,
+    NumericalError,
     diameter_exact,
     from_edge_list,
     is_connected,
@@ -18,6 +19,7 @@ from privconn import (
     spectrum,
     symmetric_difference_size,
 )
+from privconn import graph_core
 from privconn.graph_core import laplacians
 
 import oracles as oc
@@ -31,8 +33,33 @@ def _path_edges(n):
     return [(i, i + 1) for i in range(n - 1)]
 
 
+def _cycle_edges(n):
+    return _path_edges(n) + [(0, n - 1)]
+
+
+def _grid_edges(k):
+    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    return edges + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+
+
+def _hypercube_edges(d):
+    return [(v, v ^ (1 << i)) for v in range(2**d) for i in range(d) if v < v ^ (1 << i)]
+
+
 C4 = _graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 P4 = _graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.fixture(params=["float32", "float64"])
+def unwind(request, monkeypatch):
+    """Run a test with Seidel's unwinding in float32 and in float64.
+
+    Graphs up to 4096 nodes unwind in float32; a zero threshold sends
+    every graph down the float64 branch that larger graphs take.
+    """
+    if request.param == "float64":
+        monkeypatch.setattr(graph_core, "_F32_EXACT", 0)
+    return request.param
 
 
 class TestParser:
@@ -220,9 +247,29 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum(C4, tol=0.0)
 
+    def test_residual_is_each_columns_two_norm(self, monkeypatch):
+        # Shifting one eigenvalue of C_64 by 2 tol gives its residual column
+        # a 2-norm of 2 tol, but no entry above 2 tol * sqrt(2/64) = 0.35 tol,
+        # so a check on the largest entry would certify the wrong value.
+        tol = 1e-9
+        eigh = np.linalg.eigh
+
+        def shifted(L):
+            w, V = eigh(L)
+            w[5] += 2.0 * tol
+            return w, V
+
+        g = _graph(64, _cycle_edges(64))
+        L = laplacian(g)
+        w, V = shifted(L)
+        assert np.abs(L @ V - V * w).max() < 0.4 * tol
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(NumericalError, match="residual"):
+            spectrum(g, tol=tol)
+
 
 class TestDistances:
-    def test_against_floyd_warshall_random(self):
+    def test_against_floyd_warshall_random(self, unwind):
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 150:
@@ -234,11 +281,75 @@ class TestDistances:
                 continue
             g = Graph(n=n, edges=edges)
             D = oc.floyd_warshall(n, edges)
+            assert graph_core._all_pairs_distances(g).tolist() == D
             assert diameter_exact(g) == int(max(max(row) for row in D))
             want = sum(D[i][j] for i in range(n) for j in range(i + 1, n))
             want /= n * (n - 1) / 2
             assert mean_distance_exact(g) == pytest.approx(want, abs=1e-12)
             checked += 1
+
+    @pytest.mark.parametrize("family", ["path", "grid", "hypercube", "lollipop"])
+    def test_distance_matrix_closed_forms(self, unwind, family):
+        # Floyd-Warshall in Python is too slow at these sizes; the closed
+        # forms are |i - j| on P_300, the Manhattan distance on the 20 x 20
+        # grid and the Hamming distance on Q_8. Both dtypes meet the same
+        # matrix, so float64 also equals the float32 result.
+        idx = np.arange({"path": 300, "grid": 400, "hypercube": 256, "lollipop": 192}[family])
+        if family == "path":
+            g = _graph(300, _path_edges(300))
+            want = np.abs(idx[:, None] - idx)
+        elif family == "grid":
+            g = _graph(400, _grid_edges(20))
+            r, c = np.divmod(idx, 20)
+            want = np.abs(r[:, None] - r) + np.abs(c[:, None] - c)
+        elif family == "hypercube":
+            g = _graph(256, _hypercube_edges(8))
+            xor = idx[:, None] ^ idx
+            want = sum((xor >> i) & 1 for i in range(8))
+        else:
+            # K_64 with a 128-node tail at node 63: the unwinding sums T
+            # over the junction's 64 neighbours, entries past 2^11 that a
+            # float16 unwinding gets wrong. Clique nodes 0..62 sit at -1.
+            g = _graph(192, oc.edge_slots(64) + [(v, v + 1) for v in range(63, 191)])
+            pos = np.maximum(idx - 63, -1)
+            inner = idx < 63
+            want = np.abs(pos[:, None] - pos) + (inner[:, None] & inner & (idx[:, None] != idx))
+        D = graph_core._all_pairs_distances(g)
+        assert D.dtype == np.int64
+        assert np.array_equal(D, want)
+
+    def test_one_distance_pass_per_graph_object(self, monkeypatch):
+        calls = []
+        seidel = graph_core._all_pairs_distances
+
+        def counting(graph):
+            calls.append(graph)
+            return seidel(graph)
+
+        monkeypatch.setattr(graph_core, "_all_pairs_distances", counting)
+        g = _graph(65, _cycle_edges(65))
+        assert diameter_exact(g) == 32
+        assert mean_distance_exact(g) == float(Fraction(66, 4))
+        assert diameter_exact(g) == 32
+        assert len(calls) == 1
+        # the cache lives on the object: an equal graph pays for its own pass
+        h = _graph(65, _cycle_edges(65))
+        assert h == g and h is not g
+        assert diameter_exact(h) == 32
+        assert len(calls) == 2
+
+    def test_caches_leave_value_semantics_alone(self):
+        g = _graph(6, _cycle_edges(6))
+        h = _graph(6, _cycle_edges(6))
+        assert g.pairs.shape == (6, 2)
+        assert not g.pairs.flags.writeable
+        with pytest.raises(ValueError):
+            g.pairs[0, 0] = 5
+        assert diameter_exact(g) == 3
+        mean_distance_exact(g)
+        assert g == h
+        assert hash(g) == hash(h)
+        assert repr(g) == repr(h)
 
     def test_path_mean_distance(self):
         assert mean_distance_exact(P4) == pytest.approx(5.0 / 3.0, abs=1e-12)
@@ -252,7 +363,7 @@ class TestDistances:
 
     @pytest.mark.parametrize("n", [3, 4, 64, 65, 301])
     def test_cycle_closed_form(self, n):
-        g = _graph(n, _path_edges(n) + [(0, n - 1)])
+        g = _graph(n, _cycle_edges(n))
         mean = Fraction(n * n, 4 * (n - 1)) if n % 2 == 0 else Fraction(n + 1, 4)
         assert diameter_exact(g) == n // 2
         assert mean_distance_exact(g) == float(mean)
@@ -260,15 +371,13 @@ class TestDistances:
     @pytest.mark.parametrize("d", [1, 2, 5, 8])
     def test_hypercube_closed_form(self, d):
         n = 2**d
-        g = _graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)])
+        g = _graph(n, _hypercube_edges(d))
         assert diameter_exact(g) == d
         assert mean_distance_exact(g) == float(Fraction(d * 2 ** (d - 1), n - 1))
 
     @pytest.mark.parametrize("k", [2, 5, 20])
     def test_grid_diameter(self, k):
-        edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
-        edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
-        assert diameter_exact(_graph(k * k, edges)) == 2 * (k - 1)
+        assert diameter_exact(_graph(k * k, _grid_edges(k))) == 2 * (k - 1)
 
     @pytest.mark.parametrize("n", [3, 10, 257])
     def test_star_closed_form(self, n):
@@ -293,10 +402,12 @@ class TestDistances:
         # two 40-node paths: the squaring runs several rounds, then stalls
         two_paths = _graph(80, _path_edges(40) + [(u + 40, v + 40) for u, v in _path_edges(40)])
         for g in (two_edges, two_paths):
-            with pytest.raises(ValueError, match="disconnected"):
-                diameter_exact(g)
-            with pytest.raises(ValueError, match="disconnected"):
-                mean_distance_exact(g)
+            # the failure is not cached: every call raises again
+            for _ in range(2):
+                with pytest.raises(ValueError, match="disconnected"):
+                    diameter_exact(g)
+                with pytest.raises(ValueError, match="disconnected"):
+                    mean_distance_exact(g)
 
 
 _SLOTS5 = oc.edge_slots(5)

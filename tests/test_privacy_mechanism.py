@@ -14,6 +14,7 @@ from privconn import (
     privatize,
     sensitivity_bound,
     solve_scale_b,
+    spectrum,
 )
 
 import oracles as oc
@@ -294,7 +295,19 @@ class TestPrivatize:
     def test_as_dict_never_carries_the_true_value(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         d = privatize(g, P_DEFAULT, np.random.default_rng(9)).as_dict()
-        assert set(d) == {"lambda2_tilde", "b", "C", "n", "epsilon", "delta", "A"}
+        assert set(d) == {"lambda2_tilde", "b", "n", "epsilon", "delta", "A"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 9])
+    def test_public_fields_do_not_depend_on_the_graph(self, seed):
+        # the 10-node path and cycle differ in lambda2 (0.098 vs 0.382);
+        # only the noisy draw may tell them apart
+        path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
+        cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+        assert spectrum(path).lambda2 != pytest.approx(spectrum(cycle).lambda2, abs=0.1)
+        d1 = privatize(path, P_DEFAULT, np.random.default_rng(seed)).as_dict()
+        d2 = privatize(cycle, P_DEFAULT, np.random.default_rng(seed)).as_dict()
+        assert d1.pop("lambda2_tilde") != d2.pop("lambda2_tilde")
+        assert d1 == d2
 
 
 class TestPrivacySoundness:
