@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -65,8 +67,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         raise ValueError(f"{what} must look like start:stop:points, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
     points = int(parts[2])
-    if points < 2 or stop <= start or start <= 0.0:
-        raise ValueError(f"bad {what} {text!r}: need 0 < start < stop and points >= 2")
+    if points < 2 or not 0.0 < start < stop < math.inf:
+        raise ValueError(f"bad {what} {text!r}: need finite 0 < start < stop and points >= 2")
     return np.linspace(start, stop, points)
 
 
@@ -180,16 +182,7 @@ def _cmd_consensus(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_FIELDS = (
-    "exact_d_lower",
-    "exact_d_upper",
-    "exact_rho_lower",
-    "exact_rho_upper",
-    "expected_d_lower",
-    "expected_d_upper",
-    "expected_rho_lower",
-    "expected_rho_upper",
-)
+_BOUND_FIELDS = ("d_lower", "d_upper", "rho_lower", "rho_upper")
 
 
 def _cmd_bounds(args) -> int:
@@ -200,28 +193,17 @@ def _cmd_bounds(args) -> int:
         # only applies to the single-report form
         eps_values = _parse_grid(args.sweep_eps, "epsilon sweep")
         exact = exact_bounds(args.lambda2, lambda_n, args.n)
+        header = ["epsilon", "b"]
+        header += [f"{mode}_{field}" for mode in ("exact", "expected") for field in _BOUND_FIELDS]
         rows = []
-        sweep = []
         for eps in eps_values:
             params = PrivacyParams(epsilon=float(eps), delta=args.delta, A=args.A)
             b = solve_scale_b(params, float(args.n))
             expd = expected_bounds(args.lambda2, b, lambda_n, args.n)
-            values = (
-                exact.d_lower,
-                exact.d_upper,
-                exact.rho_lower,
-                exact.rho_upper,
-                expd.d_lower,
-                expd.d_upper,
-                expd.rho_lower,
-                expd.rho_upper,
-            )
+            values = [getattr(rep, field) for rep in (exact, expd) for field in _BOUND_FIELDS]
             rows.append([float(eps), b, *values])
-            record = {"epsilon": float(eps), "b": b}
-            record.update(zip(_SWEEP_FIELDS, values))
-            sweep.append(record)
         if args.format == "csv":
-            _emit(_csv_table(["epsilon", "b", *_SWEEP_FIELDS], rows), args.output)
+            _emit(_csv_table(header, rows), args.output)
             return EXIT_OK
         report = _json_report(
             inputs={
@@ -233,7 +215,7 @@ def _cmd_bounds(args) -> int:
                 "sweep_eps": args.sweep_eps,
             },
             public={},
-            results={"sweep": sweep},
+            results={"sweep": [dict(zip(header, row)) for row in rows]},
         )
         _emit(report, args.output)
         return EXIT_OK
@@ -259,6 +241,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_validate(args) -> int:
     params = _params(args)
+    t_grid = _parse_grid(args.t_grid, "t grid")
     seed = args.seed if args.seed is not None else 0
     audit = {}
     failed = False
@@ -287,7 +270,7 @@ def _cmd_validate(args) -> int:
         args.lambda2,
         b,
         float(args.n),
-        _parse_grid(args.t_grid, "t grid"),
+        t_grid,
         args.a,
         trials=args.conc_trials,
         seed=seed,
@@ -381,6 +364,7 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--A", type=int, default=1, help="adjacency radius in edges")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privconn",

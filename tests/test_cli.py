@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from privconn import NumericalError
+from privconn import NumericalError, optimize_alpha
 from privconn.cli import main
 
 DIAMOND = "n=4\n0 1\n0 2\n1 2\n1 3\n2 3\n"
@@ -180,9 +180,16 @@ class TestConsensus:
         assert t == 1.0
         assert bound == pytest.approx(err / 0.2, rel=1e-12)
 
-    @pytest.mark.parametrize("grid", ["5:1:10", "1:100", "0:100:5", "1:100:1"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "5:1:10", "1:100", "0:100:5", "1:100:1",
+            "nan:100:5", "1:inf:5", "1:nan:5", "-inf:1:3",
+        ],
+    )
     def test_bad_grid_exits_2(self, capsys, grid):
-        code, _ = run(capsys, self.ARGS + ["--t-grid", grid])
+        # csv: the json path would also trip over a nan start in RateErrorQuery
+        code, _ = run(capsys, self.ARGS + ["--format", "csv", f"--t-grid={grid}"])
         assert code == 2
 
 
@@ -214,6 +221,28 @@ class TestBounds:
             capsys, ["bounds", "--lambda2", "1.0", "--n", "10", "--alpha", "1.0"]
         )
         assert code == 2
+
+    def test_non_finite_sweep_exits_2(self, capsys):
+        code, _ = run(
+            capsys, ["bounds", "--lambda2", "1.0", "--n", "10", "--sweep-eps", "0.1:inf:3"]
+        )
+        assert code == 2
+
+    def test_cached_parser_keeps_no_state(self, capsys):
+        argv = ["bounds", "--lambda2", "1.0", "--n", "10"]
+        _, pinned = run_json(capsys, argv + ["--alpha", "2.0"])
+        _, auto = run_json(capsys, argv)
+        assert pinned["results"]["bounds"]["alpha_d"] == 2.0
+        assert auto["inputs"]["alpha"] == "auto"
+        assert auto["results"]["bounds"]["alpha_d"] == optimize_alpha("diameter", 1.0, 10.0, 10)
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["privatize", "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert "--input" in helps[0]
 
     def test_sweep_json_records(self, capsys):
         code, rep = run_json(
@@ -279,6 +308,12 @@ class TestValidate:
         assert code == 0
         assert rep["audit"]["sensitivity"]["skipped"] is True
         assert rep["results"]["passed"] is True
+
+    def test_non_finite_grid_exits_2(self, capsys):
+        code, _ = run(
+            capsys, ["validate", "--n", "5"] + self.FAST + ["--t-grid", "1:inf:5"]
+        )
+        assert code == 2
 
     def test_weakened_mechanism_exits_5(self, capsys):
         code, rep = run_json(

@@ -91,6 +91,11 @@ class TestExactBoundsSandwich:
         assert rep.mode == "exact"
         assert rep.b is None
 
+    def test_two_nodes_diameter_upper_is_two(self):
+        # log(n/2) = 0, so the upper bound is 2 whatever the base
+        for lam2, lam_n in [(2.0, 2.0), (0.5, 3.0), (1e-3, 40.0)]:
+            assert exact_bounds(lam2, lam_n, 2).d_upper == 2.0
+
     def test_dict_layout(self):
         d = exact_bounds(1.0, 8.0, 10).as_dict()
         assert list(d) == [
@@ -153,17 +158,20 @@ class TestAlphaOptimizer:
     def test_diameter_base_does_not_depend_on_the_graph(self):
         """The diameter objective factors as const + scale * K(alpha) /
         log(alpha), so its minimizer is one universal constant."""
-        stars = [
+        stars = {
             optimize_alpha("diameter", lam2, lam_n, n)
             for lam2, lam_n, n in [
                 (1.0, 8.0, 10),
                 (0.05, 40.0, 48),
                 (2.0, 3.0, 3),
                 (0.7, 12.0, 25),
+                (2.0, 2.0, 2),
             ]
-        ]
-        for star in stars:
-            assert star == pytest.approx(6.786993, abs=1e-2)
+        }
+        stars.add(exact_bounds(0.7, 12.0, 25).alpha_d)
+        stars.add(expected_bounds(1.0, 7.39, 8.0, 10).alpha_d)
+        assert len(stars) == 1
+        assert stars.pop() == pytest.approx(6.786993, abs=1e-6)
 
 
 class TestExpectedMoments:
@@ -191,6 +199,20 @@ class TestExpectedMoments:
         assert expected_inv_sqrt_lambda2(lam2, b, n) == pytest.approx(
             oc.quad_inv_sqrt_expectation(lam2, b, n), rel=1e-10
         )
+
+    @pytest.mark.parametrize("noise_ratio", [1.0, 1e3, 1e5, 1e7, 1e9])
+    def test_moments_under_heavy_noise(self, noise_ratio):
+        # b >> n (epsilon * n tiny): the law is nearly uniform on [0, n],
+        # where the b < n closed forms subtract nearly equal terms
+        for n in (6.0, 10.0, 100.0):
+            b = noise_ratio * n
+            for lam2 in (0.0, 0.1 * n, 0.5 * n, 0.9 * n, n):
+                assert expected_lambda2(lam2, b, n) == pytest.approx(
+                    oc.mp_expectation(lambda x: x, lam2, b, n), rel=1e-13
+                ), (lam2, n)
+                assert expected_inv_sqrt_lambda2(lam2, b, n) == pytest.approx(
+                    oc.mp_expectation(lambda x: 1 / mp.sqrt(x), lam2, b, n), rel=1e-13
+                ), (lam2, n)
 
     def test_midpoint_center_is_unbiased(self):
         for n, b in [(10.0, 7.39), (6.0, 0.5), (30.0, 100.0)]:
