@@ -9,6 +9,7 @@ from .errors import EdgeListError, InfeasibleParamsError, NumericalError
 from .graph_core import (
     Graph,
     SpectralSummary,
+    algebraic_connectivity,
     diameter_exact,
     from_edge_list,
     is_connected,
@@ -74,6 +75,7 @@ __all__ = [
     "from_edge_list",
     "laplacian",
     "spectrum",
+    "algebraic_connectivity",
     "is_connected",
     "diameter_exact",
     "mean_distance_exact",

@@ -150,13 +150,14 @@ def _cmd_consensus(args) -> int:
     n = float(args.n)
     b = solve_scale_b(params, n)
     grid = _parse_grid(args.t_grid, "t grid")
+    # validates --a and --eta for both formats
+    query = RateErrorQuery(t=float(grid[0]), a=args.a, eta=args.eta)
     errors = expected_rate_error(grid, args.lambda2, b, n)
     bounds = errors / args.a
     rows = [[float(t), float(v), float(e)] for t, v, e in zip(grid, bounds, errors)]
     if args.format == "csv":
         _emit(_csv_table(["t", "bound", "expected_error"], rows), args.output)
         return EXIT_OK
-    query = RateErrorQuery(t=float(grid[0]), a=args.a, eta=args.eta)
     report = _json_report(
         inputs={
             "lambda2": args.lambda2,

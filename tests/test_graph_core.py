@@ -10,6 +10,7 @@ from privconn import (
     EdgeListError,
     Graph,
     NumericalError,
+    algebraic_connectivity,
     diameter_exact,
     from_edge_list,
     is_connected,
@@ -268,6 +269,85 @@ class TestSpectrum:
             spectrum(g, tol=tol)
 
 
+class TestAlgebraicConnectivity:
+    @staticmethod
+    def _check_against_charpoly(n, edges):
+        got = algebraic_connectivity(Graph(n=n, edges=edges))
+        assert abs(got - oc.charpoly_eigenvalues(oc.laplacian_int(n, edges))[1]) <= 1e-9
+
+    def test_exhaustive_against_characteristic_polynomial(self):
+        # every graph, disconnected ones included
+        for n in range(2, 6):
+            for edges in oc.all_edge_sets(n):
+                self._check_against_charpoly(n, edges)
+
+    def test_sampled_n6_against_characteristic_polynomial(self):
+        rng = np.random.default_rng(11)
+        slots = oc.edge_slots(6)
+        for _ in range(500):
+            keep = rng.random(len(slots)) < rng.uniform(0.1, 0.9)
+            self._check_against_charpoly(6, frozenset(s for s, k in zip(slots, keep) if k))
+
+    CLOSED_FORMS = {
+        "cycle5": (_cycle_edges(5), 5, 2.0 - 2.0 * math.cos(2.0 * math.pi / 5)),
+        "cycle512": (_cycle_edges(512), 512, 2.0 - 2.0 * math.cos(2.0 * math.pi / 512)),
+        "path7": (_path_edges(7), 7, 2.0 - 2.0 * math.cos(math.pi / 7)),
+        "path512": (_path_edges(512), 512, 2.0 - 2.0 * math.cos(math.pi / 512)),
+        "grid5x5": (_grid_edges(5), 25, 2.0 - 2.0 * math.cos(math.pi / 5)),
+        "grid22x22": (_grid_edges(22), 484, 2.0 - 2.0 * math.cos(math.pi / 22)),
+        "hypercube3": (_hypercube_edges(3), 8, 2.0),
+        "hypercube9": (_hypercube_edges(9), 512, 2.0),
+        "star9": ([(0, i) for i in range(1, 9)], 9, 1.0),
+        "star512": ([(0, i) for i in range(1, 512)], 512, 1.0),
+        "complete7": (oc.edge_slots(7), 7, 7.0),
+        "complete512": (oc.edge_slots(512), 512, 512.0),
+    }
+
+    @pytest.mark.parametrize("family", CLOSED_FORMS)
+    def test_closed_forms(self, family):
+        edges, n, want = self.CLOSED_FORMS[family]
+        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=1e-9)
+
+    def test_boundary_snapping(self):
+        assert algebraic_connectivity(_graph(6, oc.edge_slots(6))) == 6.0
+        assert algebraic_connectivity(Graph(n=4, edges=frozenset())) == 0.0
+        two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        assert algebraic_connectivity(_graph(6, two_triangles)) == 0.0
+
+    @pytest.mark.parametrize("sign, side", [(1.0, "below"), (-1.0, "above")])
+    def test_inertia_rejects_a_shifted_estimate(self, monkeypatch, sign, side):
+        # lambda2 of C_64 (0.0096, a double eigenvalue) is far from both
+        # ends of [0, 64], so no snap absorbs the shift: a value 2 tol too
+        # high fails the lower inertia test, one 2 tol too low the upper
+        tol = 1e-9
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(L):
+            w = eigvalsh(L)
+            w[1] += sign * 2.0 * tol
+            return w
+
+        g = _graph(64, _cycle_edges(64))
+        assert abs(algebraic_connectivity(g, tol=tol) - spectrum(g).lambda2) <= tol
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(NumericalError, match=f"inertia check: lambda2 is {side}"):
+            algebraic_connectivity(g, tol=tol)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            algebraic_connectivity(C4, tol=0.0)
+        with pytest.raises(ValueError):
+            algebraic_connectivity(Graph(n=1, edges=frozenset()))
+
+    def test_solver_failure_is_a_numerical_error(self, monkeypatch):
+        def diverges(L):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverges)
+        with pytest.raises(NumericalError, match="did not converge"):
+            algebraic_connectivity(C4)
+
+
 class TestDistances:
     def test_against_floyd_warshall_random(self, unwind):
         rng = np.random.default_rng(11)
@@ -350,6 +430,13 @@ class TestDistances:
         assert g == h
         assert hash(g) == hash(h)
         assert repr(g) == repr(h)
+
+    @pytest.mark.parametrize("n, edges", [(4, []), (6, _cycle_edges(6)), (40, oc.edge_slots(40))])
+    def test_pairs_follow_the_edge_sets_order(self, n, edges):
+        g = _graph(n, edges)
+        want = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+        assert g.pairs.dtype == want.dtype
+        assert np.array_equal(g.pairs, want)
 
     def test_path_mean_distance(self):
         assert mean_distance_exact(P4) == pytest.approx(5.0 / 3.0, abs=1e-12)

@@ -9,6 +9,7 @@ from privconn import (
     Graph,
     InfeasibleParamsError,
     PrivacyParams,
+    algebraic_connectivity,
     delta_C,
     normalizer_C,
     privatize,
@@ -286,6 +287,14 @@ class TestPrivatize:
         assert r1.n == 4
         assert r1.params == P_DEFAULT
         assert r1.scale_b == pytest.approx(solve_scale_b(P_DEFAULT, 4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_release_is_centred_on_the_certified_lambda2(self, seed):
+        g = Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+        b = solve_scale_b(P_DEFAULT, 12.0)
+        dist = BoundedLaplaceDist(center=algebraic_connectivity(g), scale_b=b, domain_upper_n=12.0)
+        got = privatize(g, P_DEFAULT, np.random.default_rng(seed)).lambda2_tilde
+        assert got == float(dist.sample(np.random.default_rng(seed)))
 
     def test_disconnected_graph_releases_from_zero(self):
         g = Graph.from_edges(4, [(0, 1)])

@@ -113,6 +113,11 @@ class TestExactBoundsSandwich:
             lambda: diameter_bounds_exact(1.0, 2.0, 1, 2.0),
             lambda: mean_distance_bounds_exact(-1.0, 2.0, 5, 2.0),
             lambda: optimize_alpha("girth", 1.0, 2.0, 5),
+            lambda: exact_bounds(1.0, math.nan, 10),           # non-finite eigenvalues
+            lambda: exact_bounds(1.0, math.inf, 10),
+            lambda: exact_bounds(math.nan, 9.0, 10),
+            lambda: exact_bounds(math.inf, math.inf, 10),
+            lambda: optimize_alpha("mean_distance", 1.0, math.nan, 10),
         ],
     )
     def test_preconditions(self, call):
@@ -267,6 +272,9 @@ class TestExpectedBounds:
             expected_bounds(11.0, 7.39, 8.0, 10)
         with pytest.raises(ValueError):
             expected_bounds(9.0, 7.39, 8.0, 10)   # lambda_n below lambda2
+        for lam2, lam_n in [(1.0, math.nan), (1.0, math.inf), (math.nan, 8.0), (math.inf, math.inf)]:
+            with pytest.raises(ValueError):
+                expected_bounds(lam2, 7.39, lam_n, 10)
 
 
 class TestMinDegree:
