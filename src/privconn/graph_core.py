@@ -8,12 +8,15 @@ certificate, and Seidel's all-pairs algorithm for the exact distances.
 There are two certificates. spectrum returns every eigenvalue, each
 within tol of *some* eigenvalue: the eigenvectors come with it, and the
 2-norm of each residual column L v - w v bounds that value's error.
-algebraic_connectivity returns one value r, within tol of lambda2 *by
+algebraic_connectivity returns one value r, within 1e-9 of lambda2 *by
 index*: it computes eigenvalues only, then shows with two Cholesky
 factorizations of the shifted, deflated Laplacian that exactly one
-eigenvalue lies at or below r - tol and at least two at or below r + tol
-(Sylvester's law of inertia). The release needs only lambda2, so it takes
-the second, which skips the eigenvectors and the n^3 residual product.
+eigenvalue lies at or below r - 1e-9 and at least two at or below
+r + 1e-9 (Sylvester's law of inertia), up to the factorizations'
+backward error of about n eps (lambda_n + 1), which stays well below
+1e-9 only while n (lambda_n + 1) is well below 9e6. The release needs
+only lambda2, so it takes the second, which skips the eigenvectors and
+the n^3 residual product.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
@@ -60,6 +63,9 @@ __all__ = [
 
 # float32 holds every integer up to 2^24 exactly
 _F32_EXACT = 2**24
+
+# the accuracy algebraic_connectivity certifies, and so the release's centre
+_LAMBDA2_TOL = 1e-9
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -216,15 +222,9 @@ def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
         NumericalError: if the decomposition fails or the residual check
             cannot certify the requested tolerance.
     """
-    if graph.n < 2:
-        raise ValueError("spectrum requires at least 2 nodes")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    L = laplacian(graph)
-    try:
-        w, V = np.linalg.eigh(L)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    L, (w, V) = _solve_laplacian(graph, "spectrum", np.linalg.eigh)
     # the eigenvalue bound needs each column's 2-norm, not its largest entry
     R = L @ V
     R -= V * w
@@ -239,14 +239,15 @@ def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
     return SpectralSummary(eigenvalues=vals, lambda2=vals[1], lambda_n=vals[-1])
 
 
-def algebraic_connectivity(graph: Graph, tol: float = 1e-9) -> float:
-    """lambda2 alone, certified by index to within tol.
+def algebraic_connectivity(graph: Graph) -> float:
+    """lambda2 alone, certified by index to within 1e-9.
 
     The estimate is the second eigenvalue from a dense symmetric solve
-    that computes no eigenvectors; within tol of 0 or n it is snapped onto
-    that end of the range. The value r so obtained is then certified by
-    Sylvester's law of inertia (spectrum slicing; Parlett, The Symmetric
-    Eigenvalue Problem). With s above every eigenvalue, the matrix
+    that computes no eigenvectors; within tol = 1e-9 of 0 or n it is
+    snapped onto that end of the range. The value r so obtained is then
+    certified by Sylvester's law of inertia (spectrum slicing; Parlett,
+    The Symmetric Eigenvalue Problem). With s above every eigenvalue, the
+    matrix
 
         M(sigma) = L + (s/n) 11^T - sigma I
 
@@ -254,23 +255,20 @@ def algebraic_connectivity(graph: Graph, tol: float = 1e-9) -> float:
     lambda_i - sigma for i >= 2, so it is positive definite iff
     lambda2 > sigma. A Cholesky factorization that succeeds at r - tol
     and fails at r + tol therefore proves lambda2 in [r - tol, r + tol],
-    up to the factorization's backward error. The lower test is skipped
-    when r - tol <= 0, because L is positive semidefinite.
+    up to the factorization's backward error, about n eps ||M|| with
+    ||M|| <= lambda_n + 1 <= n + 1. So it is a proof while n (lambda_n + 1)
+    stays well below tol / eps ~ 9e6 (1e4 for a 2048-node cycle, 4e5 for
+    K_600, 2.4e6 for a 1536-node star); at K_3000 it reaches 9e6, and
+    there the check is only a heuristic. The lower test is skipped when
+    r - tol <= 0, because L is positive semidefinite.
 
     Raises:
         NumericalError: if the solver does not converge or either
             inertia test contradicts the value.
     """
+    tol = _LAMBDA2_TOL
     n = graph.n
-    if n < 2:
-        raise ValueError("algebraic connectivity requires at least 2 nodes")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    L = laplacian(graph)
-    try:
-        w = np.linalg.eigvalsh(L)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    L, w = _solve_laplacian(graph, "algebraic connectivity", np.linalg.eigvalsh)
     r = float(w[1])
     if r <= tol:
         r = 0.0
@@ -285,6 +283,21 @@ def algebraic_connectivity(graph: Graph, tol: float = 1e-9) -> float:
     if _positive_definite(L, diag, r + tol):
         raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
     return r
+
+
+def _solve_laplacian(graph: Graph, what: str, solver):
+    """The Laplacian L and solver(L), which must be one of numpy's eigensolvers.
+
+    Shares the node-count check and the non-convergence error between
+    spectrum and algebraic_connectivity.
+    """
+    if graph.n < 2:
+        raise ValueError(f"{what} requires at least 2 nodes")
+    L = laplacian(graph)
+    try:
+        return L, solver(L)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
 
 
 def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:

@@ -263,9 +263,10 @@ class PrivateRelease:
 def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:
     """Release the graph's algebraic connectivity under the given budget.
 
-    Computes lambda2, certified to 1e-9 (see algebraic_connectivity),
-    solves the minimal feasible scale for the graph's node count, and
-    draws once from the truncated Laplace centered at that value.
+    Computes lambda2, certified to 1e-9 up to Cholesky backward error
+    (about n eps (lambda_n + 1); see algebraic_connectivity), solves the
+    minimal feasible scale for the graph's node count, and draws once
+    from the truncated Laplace centered at that value.
     """
     lambda2 = algebraic_connectivity(graph)
     b = solve_scale_b(params, float(graph.n))

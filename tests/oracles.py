@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -49,73 +48,28 @@ def charpoly_coefficients(M: list[list[int]]) -> list[int]:
 
 
 def charpoly_eigenvalues(M: list[list[int]]) -> np.ndarray:
-    """Ascending eigenvalues, with multiplicity, from the exact charpoly.
+    """Ascending eigenvalues from the exact characteristic polynomial.
 
-    Root extraction runs through companion matrices (nonsymmetric QR), a
-    different code path from the symmetric eigensolver under test. Roots
-    of the whole polynomial would come out only to about eps^(1/k) at
-    multiplicity k (1e-3 at K_5's fourfold eigenvalue 5), so Yun's
-    algorithm first splits det(xI - M) exactly, in rational arithmetic,
-    into p_1 p_2^2 p_3^3 ... with each p_k square-free. Every eigenvalue
-    is then a simple root of one p_k; it is found there and listed k
-    times.
+    Root extraction runs through the companion matrix (nonsymmetric QR),
+    a different code path from the symmetric eigensolver under test.
     """
-    f = [Fraction(c) for c in charpoly_coefficients(M)]
-    a = _poly_gcd(f, _poly_derivative(f))
-    b = _poly_div(f, a)
-    d = _poly_sub(_poly_div(_poly_derivative(f), a), _poly_derivative(b))
-    roots = []
-    k = 1
-    while len(b) > 1:
-        a = _poly_gcd(b, d)
-        roots += [float(r.real) for r in np.roots([float(c) for c in a])] * k
-        b = _poly_div(b, a)
-        d = _poly_sub(_poly_div(d, a), _poly_derivative(b))
-        k += 1
-    return np.sort(roots)
+    coeffs = [float(c) for c in charpoly_coefficients(M)]
+    roots = np.roots(coeffs)
+    return np.sort(roots.real)
 
 
-def _poly_derivative(p: list) -> list:
-    deg = len(p) - 1
-    return [c * (deg - i) for i, c in enumerate(p[:-1])] or [Fraction(0)]
+def mp_eigenvalues(M: list[list[int]], dps: int = 40) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix from mpmath at dps digits.
 
+    mpmath's own symmetric eigensolver shares no code with LAPACK, and at
+    40 digits it stays far inside 1e-9 at repeated eigenvalues too, where
+    charpoly roots come out only to about eps^(1/multiplicity).
+    """
+    import mpmath as mp
 
-def _poly_trim(p: list) -> list:
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _poly_sub(p: list, q: list) -> list:
-    width = max(len(p), len(q))
-    p = [Fraction(0)] * (width - len(p)) + p
-    q = [Fraction(0)] * (width - len(q)) + q
-    return _poly_trim([x - y for x, y in zip(p, q)])
-
-
-def _poly_divmod(p: list, q: list) -> tuple[list, list]:
-    rem, quot = list(p), []
-    while len(rem) >= len(q):
-        c = rem[0] / q[0]
-        quot.append(c)
-        for i, x in enumerate(q):
-            rem[i] -= c * x
-        rem.pop(0)
-    return quot or [Fraction(0)], _poly_trim(rem or [Fraction(0)])
-
-
-def _poly_div(p: list, q: list) -> list:
-    quot, rem = _poly_divmod(p, q)
-    assert rem == [0], "exact division"
-    return quot
-
-
-def _poly_gcd(p: list, q: list) -> list:
-    """Monic greatest common divisor."""
-    while q != [0]:
-        p, q = q, _poly_divmod(p, q)[1]
-    return [c / p[0] for c in p]
+    with mp.workdps(dps):
+        vals = mp.eigsy(mp.matrix(M), eigvals_only=True)
+        return np.sort([float(v) for v in vals])
 
 
 def laplacian_int(n: int, edges) -> list[list[int]]:

@@ -21,7 +21,7 @@ from privconn import (
     symmetric_difference_size,
 )
 from privconn import graph_core
-from privconn.graph_core import laplacians
+from privconn.graph_core import _LAMBDA2_TOL, laplacians
 
 import oracles as oc
 
@@ -271,22 +271,22 @@ class TestSpectrum:
 
 class TestAlgebraicConnectivity:
     @staticmethod
-    def _check_against_charpoly(n, edges):
+    def _check_against_mpmath(n, edges):
         got = algebraic_connectivity(Graph(n=n, edges=edges))
-        assert abs(got - oc.charpoly_eigenvalues(oc.laplacian_int(n, edges))[1]) <= 1e-9
+        assert abs(got - oc.mp_eigenvalues(oc.laplacian_int(n, edges))[1]) <= _LAMBDA2_TOL
 
-    def test_exhaustive_against_characteristic_polynomial(self):
+    def test_exhaustive_against_mpmath(self):
         # every graph, disconnected ones included
         for n in range(2, 6):
             for edges in oc.all_edge_sets(n):
-                self._check_against_charpoly(n, edges)
+                self._check_against_mpmath(n, edges)
 
-    def test_sampled_n6_against_characteristic_polynomial(self):
+    def test_sampled_n6_against_mpmath(self):
         rng = np.random.default_rng(11)
         slots = oc.edge_slots(6)
         for _ in range(500):
             keep = rng.random(len(slots)) < rng.uniform(0.1, 0.9)
-            self._check_against_charpoly(6, frozenset(s for s, k in zip(slots, keep) if k))
+            self._check_against_mpmath(6, frozenset(s for s, k in zip(slots, keep) if k))
 
     CLOSED_FORMS = {
         "cycle5": (_cycle_edges(5), 5, 2.0 - 2.0 * math.cos(2.0 * math.pi / 5)),
@@ -306,7 +306,7 @@ class TestAlgebraicConnectivity:
     @pytest.mark.parametrize("family", CLOSED_FORMS)
     def test_closed_forms(self, family):
         edges, n, want = self.CLOSED_FORMS[family]
-        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=1e-9)
+        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=_LAMBDA2_TOL)
 
     def test_boundary_snapping(self):
         assert algebraic_connectivity(_graph(6, oc.edge_slots(6))) == 6.0
@@ -319,7 +319,7 @@ class TestAlgebraicConnectivity:
         # lambda2 of C_64 (0.0096, a double eigenvalue) is far from both
         # ends of [0, 64], so no snap absorbs the shift: a value 2 tol too
         # high fails the lower inertia test, one 2 tol too low the upper
-        tol = 1e-9
+        tol = _LAMBDA2_TOL
         eigvalsh = np.linalg.eigvalsh
 
         def shifted(L):
@@ -328,15 +328,13 @@ class TestAlgebraicConnectivity:
             return w
 
         g = _graph(64, _cycle_edges(64))
-        assert abs(algebraic_connectivity(g, tol=tol) - spectrum(g).lambda2) <= tol
+        assert abs(algebraic_connectivity(g) - spectrum(g).lambda2) <= tol
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
         with pytest.raises(NumericalError, match=f"inertia check: lambda2 is {side}"):
-            algebraic_connectivity(g, tol=tol)
+            algebraic_connectivity(g)
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            algebraic_connectivity(C4, tol=0.0)
-        with pytest.raises(ValueError):
+    def test_rejects_a_single_node(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
             algebraic_connectivity(Graph(n=1, edges=frozenset()))
 
     def test_solver_failure_is_a_numerical_error(self, monkeypatch):
