@@ -5,18 +5,28 @@ works from this module's Laplacian spectrum and combinatorial oracles, so
 the routines here favor exactness over scale: dense eigensolves with a
 certificate, and Seidel's all-pairs algorithm for the exact distances.
 
-There are two certificates. spectrum returns every eigenvalue, each
+There are three certificates. spectrum returns every eigenvalue, each
 within tol of *some* eigenvalue: the eigenvectors come with it, and the
 2-norm of each residual column L v - w v bounds that value's error.
 algebraic_connectivity returns one value r, within 1e-9 of lambda2 *by
-index*: it computes eigenvalues only, then shows with two Cholesky
+index*, by one of two routes chosen from the graph's size and density.
+Dense: it computes eigenvalues only, then shows with two Cholesky
 factorizations of the shifted, deflated Laplacian that exactly one
 eigenvalue lies at or below r - 1e-9 and at least two at or below
 r + 1e-9 (Sylvester's law of inertia), up to the factorizations'
 backward error of about n eps (lambda_n + 1), which stays well below
-1e-9 only while n (lambda_n + 1) is well below 9e6. The release needs
-only lambda2, so it takes the second, which skips the eigenvectors and
-the n^3 residual product.
+1e-9 only while n (lambda_n + 1) is well below 9e6. Sparse (more than
+1024 nodes, mean degree at most 8): a shift-invert Lanczos estimate on a
+sparse Laplacian; below, exactly one negative pivot in a sparse LU of
+L - (r - 1e-9) I that kept to the diagonal (a symmetric LDL^T in exact
+arithmetic); above, the Rayleigh quotient of the returned vector, which
+bounds lambda2 by Courant-Fischer with only rounding to account for.
+That LU does not pivot, so its backward error has no a-priori bound: a
+pivot near zero inflates later entries and can move the count. Where
+either sparse check fails, a graph small enough for the dense route is
+solved again there. The release needs only lambda2, so it takes
+algebraic_connectivity, which skips the eigenvectors and the n^3
+residual product.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
@@ -36,6 +46,7 @@ exactly while it is at most 2^24 (n <= 4096).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,6 +77,25 @@ _F32_EXACT = 2**24
 
 # the accuracy algebraic_connectivity certifies, and so the release's centre
 _LAMBDA2_TOL = 1e-9
+
+# algebraic_connectivity goes sparse above this many nodes when the mean
+# degree 2m/n is at most _SPARSE_MAX_MEAN_DEGREE. Below the node count the
+# dense solve costs less than importing scipy.sparse.linalg (0.18-0.27 s);
+# above the mean degree the sparse LU fills in and loses to it (G(2000, p)
+# at mean degree 8 ties, at 32 the sparse route is 3x slower).
+_SPARSE_MIN_N = 1024
+_SPARSE_MAX_MEAN_DEGREE = 8
+
+# The dense lambda2 route holds about three n x n float64 arrays (the
+# Laplacian, the eigensolver's copy, a Cholesky factor), 24 n^2 bytes:
+# 3.8 GiB at the cap, under half of an 8 GB machine. Past that numpy can
+# overcommit the allocation and the process is killed instead of raising
+# MemoryError, so larger dense graphs are refused before anything is built.
+_DENSE_MAX_N = 13_000
+
+# relative inflation of the sparse route's Rayleigh bound: the fsum-based
+# quotient of a centred vector is within about 4.5 eps of the exact one
+_RAYLEIGH_MARGIN = 16 * np.finfo(float).eps
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -242,12 +272,16 @@ def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
 def algebraic_connectivity(graph: Graph) -> float:
     """lambda2 alone, certified by index to within 1e-9.
 
-    The estimate is the second eigenvalue from a dense symmetric solve
-    that computes no eigenvectors; within tol = 1e-9 of 0 or n it is
-    snapped onto that end of the range. The value r so obtained is then
-    certified by Sylvester's law of inertia (spectrum slicing; Parlett,
-    The Symmetric Eigenvalue Problem). With s above every eigenvalue, the
-    matrix
+    A graph with more than 1024 nodes and mean degree at most 8 takes the
+    sparse route below; every other graph takes the dense one. Either way
+    an estimate within tol = 1e-9 of 0 or n is snapped onto that end of
+    the range, and the value r so obtained is then certified by
+    Sylvester's law of inertia (spectrum slicing; Parlett, The Symmetric
+    Eigenvalue Problem).
+
+    Dense: the estimate is the second eigenvalue from a dense symmetric
+    solve that computes no eigenvectors. With s above every eigenvalue,
+    the matrix
 
         M(sigma) = L + (s/n) 11^T - sigma I
 
@@ -257,23 +291,60 @@ def algebraic_connectivity(graph: Graph) -> float:
     and fails at r + tol therefore proves lambda2 in [r - tol, r + tol],
     up to the factorization's backward error, about n eps ||M|| with
     ||M|| <= lambda_n + 1 <= n + 1. So it is a proof while n (lambda_n + 1)
-    stays well below tol / eps ~ 9e6 (1e4 for a 2048-node cycle, 4e5 for
-    K_600, 2.4e6 for a 1536-node star); at K_3000 it reaches 9e6, and
-    there the check is only a heuristic. The lower test is skipped when
-    r - tol <= 0, because L is positive semidefinite.
+    stays well below tol / eps ~ 9e6 (5e3 for a 1024-node path, 4e5 for
+    K_600); at K_3000 it reaches 9e6, and there the check is only a
+    heuristic. Graphs above 13,000 nodes are refused here, before the
+    24 n^2 bytes it needs are allocated.
+
+    Sparse: the rank-one term would fill a sparse matrix, so the estimate
+    is a shift-invert Lanczos run (scipy's eigsh) on the sparse Laplacian
+    with the constant vector projected out, and the two sides are shown
+    separately. Below, L - (r - tol) I must have exactly one negative
+    pivot in a sparse LU that kept to the diagonal, which is a symmetric
+    LDL^T factorization in exact arithmetic. It does not pivot, so its
+    backward error has no a-priori bound: where a leading block of the
+    elimination has an eigenvalue within about tol of lambda2, a pivot of
+    size tol is followed by entries of size 1/tol, and rounding can move
+    the count (21 of the 1,093 connected graphs on 2..5 nodes and 500
+    sampled 6-node ones miscount this way). Above, by Courant-Fischer
+    over span{1, x} for the returned vector x,
+
+        lambda2 <= sum over edges (x_u - x_v)^2 / sum_i (x_i - mean x)^2,
+
+    which needs no factorization, only a stated rounding margin, and does
+    not depend on how many eigenvalues sit within tol of r (the star's
+    lambda2 = 1 has multiplicity n - 2). The start vector and the
+    generator for restarts are fixed, so the value repeats bit for bit.
+    When either side fails, a graph within the dense route's node cap is
+    solved again on the dense route; a larger one raises.
+
+    On both routes the lower test is skipped when r - tol <= 0, because
+    L is positive semidefinite.
 
     Raises:
-        NumericalError: if the solver does not converge or either
-            inertia test contradicts the value.
+        ValueError: for a single node, or a graph above the dense route's
+            node cap whose mean degree keeps it off the sparse one.
+        NumericalError: if the solver does not converge or a test
+            contradicts the value.
     """
-    tol = _LAMBDA2_TOL
     n = graph.n
+    if n > _SPARSE_MIN_N and 2 * len(graph.edges) <= _SPARSE_MAX_MEAN_DEGREE * n:
+        try:
+            return _sparse_algebraic_connectivity(graph)
+        except NumericalError:
+            # the sparse route could not certify its value; the dense one
+            # decides afresh where it may run
+            if n > _DENSE_MAX_N:
+                raise
+    if n > _DENSE_MAX_N:
+        raise ValueError(
+            f"algebraic connectivity: a dense solve on n={n} nodes needs about "
+            f"{24 * n * n} bytes; the dense route takes at most {_DENSE_MAX_N} nodes "
+            f"and the sparse one a mean degree of at most {_SPARSE_MAX_MEAN_DEGREE}"
+        )
+    tol = _LAMBDA2_TOL
     L, w = _solve_laplacian(graph, "algebraic connectivity", np.linalg.eigvalsh)
-    r = float(w[1])
-    if r <= tol:
-        r = 0.0
-    elif r >= n - tol:
-        r = float(n)
+    r = _snap(float(w[1]), n)
     # L becomes M(0) in place: the constant vector's eigenvalue 0 moves to
     # s = lambda_n + 1, above r + tol
     L += (float(w[-1]) + 1.0) / n
@@ -283,6 +354,113 @@ def algebraic_connectivity(graph: Graph) -> float:
     if _positive_definite(L, diag, r + tol):
         raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
     return r
+
+
+def _snap(r: float, n: int) -> float:
+    """An estimate of lambda2 within _LAMBDA2_TOL of 0 or n, moved onto it."""
+    if r <= _LAMBDA2_TOL:
+        return 0.0
+    if r >= n - _LAMBDA2_TOL:
+        return float(n)
+    return r
+
+
+def _sparse_algebraic_connectivity(graph: Graph) -> float:
+    """algebraic_connectivity's sparse route; see its docstring."""
+    from scipy import sparse
+    from scipy.sparse import linalg
+
+    tol = _LAMBDA2_TOL
+    n = graph.n
+    u, v = graph.pairs.T
+    rows = np.concatenate([u, v, np.arange(n)])
+    cols = np.concatenate([v, u, np.arange(n)])
+    weights = np.concatenate([np.full(2 * len(u), -1.0), graph.degrees().astype(float)])
+    L = sparse.csc_matrix((weights, (rows, cols)), shape=(n, n))
+    eye = sparse.identity(n, format="csc")
+    # a connected graph has lambda2 >= 4 / (n diameter) > 4 / n^2 (Mohar
+    # 1991), so the shift stays below a quarter of lambda2 and the wanted
+    # eigenvalue of the inverse stands well clear of the rest
+    sigma = -1.0 / n**2
+    lu = _symmetric_lu(L - sigma * eye)
+
+    def deflated_inverse(x):
+        # the constant vector is L's known null vector; without it the
+        # largest eigenvalue of the inverse is lambda2's, also when the
+        # graph is disconnected and 0 is a repeated eigenvalue
+        y = lu.solve(x - x.mean())
+        return y - y.mean()
+
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    v0 -= v0.mean()
+    try:
+        w, X = linalg.eigsh(
+            L, k=1, sigma=sigma, which="LM", v0=v0, rng=rng,
+            OPinv=linalg.LinearOperator((n, n), matvec=deflated_inverse, dtype=float),
+        )
+    except linalg.ArpackNoConvergence as exc:
+        raise NumericalError(f"shift-invert Lanczos did not converge: {exc}") from exc
+    r = _snap(float(w[0]), n)
+    if r - tol > 0.0:
+        shifted = _symmetric_lu(L - (r - tol) * eye)
+        pivots = shifted.U.diagonal()
+        if not (np.array_equal(shifted.perm_r, shifted.perm_c) and pivots.all()):
+            raise NumericalError(
+                "inertia check: the sparse LU left the diagonal or hit a zero pivot, "
+                "so its pivots do not give the inertia"
+            )
+        negative = np.count_nonzero(pivots < 0.0)
+        if negative != 1:
+            raise NumericalError(
+                f"inertia check: lambda2 is below {r!r} - {tol:.3e} "
+                f"({negative} negative pivots, not 1)"
+            )
+    q = _rayleigh_bound(graph.pairs, X[:, 0])
+    if not q <= r + tol:
+        raise NumericalError(
+            f"Rayleigh check: lambda2 may be above {r!r} + {tol:.3e} (bound {q!r})"
+        )
+    return r
+
+
+def _symmetric_lu(A):
+    """A sparse LU of the symmetric matrix A that pivots only on the diagonal.
+
+    The column order is minimum degree on A + A^T and the rows follow it
+    wherever the diagonal entry is nonzero, so perm_r == perm_c unless
+    the factorization had to leave the diagonal.
+    """
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU failed: {exc}") from exc
+
+
+def _rayleigh_bound(pairs: np.ndarray, x: np.ndarray) -> float:
+    """An upper bound on lambda2 from any vector x, rounding included.
+
+    The largest Rayleigh quotient over span{1, x} is the quotient of x
+    with its mean removed, so by Courant-Fischer it bounds lambda2. The
+    vector y = x - mean is rounded, but the formula holds for y itself
+    with y's exact mean, which the last fsum term accounts for. Every sum
+    is an fsum (correctly rounded), so the computed quotient is within
+    about 4.5 eps of the exact one; it is inflated by _RAYLEIGH_MARGIN. A
+    constant vector bounds nothing and gives inf.
+    """
+    n = len(x)
+    y = x - math.fsum(x.tolist()) / n
+    d = y[pairs[:, 0]] - y[pairs[:, 1]]
+    s1 = math.fsum(y.tolist())
+    spread = math.fsum((y * y).tolist()) - s1 * s1 / n
+    if not spread > 0.0:
+        return math.inf
+    return math.fsum((d * d).tolist()) / spread * (1.0 + _RAYLEIGH_MARGIN)
 
 
 def _solve_laplacian(graph: Graph, what: str, solver):

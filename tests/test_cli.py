@@ -132,22 +132,57 @@ class TestPrivatize:
         assert err.startswith("error: ") and "74.5 GiB" in err
         assert "Traceback" not in err
 
-    def test_release_path_does_not_load_scipy(self, tmp_path):
+    def test_graph_above_the_dense_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        from privconn import graph_core
+
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 3)
         path = tmp_path / "g.txt"
         path.write_text(DIAMOND)
-        script = (
-            "import sys, privconn.cli\n"
-            f"code = privconn.cli.main(['privatize', '--input', {str(path)!r}, '--seed', '1'])\n"
-            "assert code == 0, code\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        )
+        code = main(["privatize", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "n=4 nodes needs about 384 bytes" in err
+
+    @staticmethod
+    def _python(script):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
+
+    def test_release_path_does_not_load_scipy(self, tmp_path):
+        # a 1024-node path is sparse but not above the sparse route's node
+        # cutoff, so it stays dense and scipy stays unloaded
+        diamond, path1024 = tmp_path / "g.txt", tmp_path / "p.txt"
+        diamond.write_text(DIAMOND)
+        path1024.write_text("n=1024\n" + "".join(f"{i} {i + 1}\n" for i in range(1023)))
+        script = (
+            "import sys, privconn.cli\n"
+            f"for path in ({str(diamond)!r}, {str(path1024)!r}):\n"
+            "    code = privconn.cli.main(['privatize', '--input', path, '--seed', '1'])\n"
+            "    assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        proc = self._python(script)
         assert proc.returncode == 0, proc.stderr
+
+    def test_sparse_release_repeats_across_interpreters(self, capsys, tmp_path):
+        # the 2048-node cycle takes the sparse route; its fixed start vector
+        # and restart generator make every process release the same value
+        path = tmp_path / "c.txt"
+        path.write_text("n=2048\n" + "".join(f"{i} {(i + 1) % 2048}\n" for i in range(2048)))
+        argv = ["privatize", "--input", str(path), "--seed", "7"]
+        script = f"import sys, privconn.cli\nsys.exit(privconn.cli.main({argv!r}))\n"
+        released = []
+        for _ in range(2):
+            proc = self._python(script)
+            assert proc.returncode == 0, proc.stderr
+            released.append(json.loads(proc.stdout)["results"]["lambda2_tilde"])
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert released == [rep["results"]["lambda2_tilde"]] * 2
 
 
 class TestConsensus:

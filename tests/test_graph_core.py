@@ -269,24 +269,81 @@ class TestSpectrum:
             spectrum(g, tol=tol)
 
 
+def _force_sparse(monkeypatch):
+    """Send every graph down algebraic_connectivity's sparse route."""
+    monkeypatch.setattr(graph_core, "_SPARSE_MIN_N", 0)
+    monkeypatch.setattr(graph_core, "_SPARSE_MAX_MEAN_DEGREE", math.inf)
+
+
+def _shift_sparse_estimate(monkeypatch, by):
+    """Move the estimate scipy's eigsh hands the sparse route by `by`."""
+    from scipy.sparse import linalg
+
+    eigsh = linalg.eigsh
+
+    def shifted(*args, **kwargs):
+        w, X = eigsh(*args, **kwargs)
+        return w + by, X
+
+    monkeypatch.setattr(linalg, "eigsh", shifted)
+
+
 class TestAlgebraicConnectivity:
+    C4096 = _graph(4096, _cycle_edges(4096))
+
     @staticmethod
-    def _check_against_mpmath(n, edges):
-        got = algebraic_connectivity(Graph(n=n, edges=edges))
-        assert abs(got - oc.mp_eigenvalues(oc.laplacian_int(n, edges))[1]) <= _LAMBDA2_TOL
+    def _check_against_mpmath(monkeypatch, n, edges):
+        """Both routes against mpmath; whether the sparse one fell back."""
+        g = Graph(n=n, edges=edges)
+        want = oc.mp_eigenvalues(oc.laplacian_int(n, edges))[1]
+        assert abs(algebraic_connectivity(g) - want) <= _LAMBDA2_TOL
+        dense_solves = []
 
-    def test_exhaustive_against_mpmath(self):
-        # every graph, disconnected ones included
-        for n in range(2, 6):
-            for edges in oc.all_edge_sets(n):
-                self._check_against_mpmath(n, edges)
+        def counted(graph):
+            dense_solves.append(graph)
+            return laplacian(graph)
 
-    def test_sampled_n6_against_mpmath(self):
+        with monkeypatch.context() as m:
+            _force_sparse(m)
+            m.setattr(graph_core, "laplacian", counted)
+            assert abs(algebraic_connectivity(g) - want) <= _LAMBDA2_TOL
+        return bool(dense_solves)
+
+    def test_exhaustive_against_mpmath(self, monkeypatch):
+        # every graph, disconnected ones included; the sparse route's pivot
+        # count miscounts on a few, which the dense route then answers
+        outcomes = [
+            self._check_against_mpmath(monkeypatch, n, edges)
+            for n in range(2, 6)
+            for edges in oc.all_edge_sets(n)
+        ]
+        assert sum(outcomes) <= len(outcomes) // 20, sum(outcomes)
+
+    def test_sampled_n6_against_mpmath(self, monkeypatch):
         rng = np.random.default_rng(11)
         slots = oc.edge_slots(6)
+        fallbacks = 0
         for _ in range(500):
             keep = rng.random(len(slots)) < rng.uniform(0.1, 0.9)
-            self._check_against_mpmath(6, frozenset(s for s, k in zip(slots, keep) if k))
+            edges = frozenset(s for s, k in zip(slots, keep) if k)
+            fallbacks += self._check_against_mpmath(monkeypatch, 6, edges)
+        assert fallbacks <= 500 // 20, fallbacks
+
+    def test_sparse_route_agrees_with_dense_on_random_graphs(self, monkeypatch):
+        # G(n, p) at mean degrees 0.5..40: disconnected, sparse and denser
+        # than the route's limit; with the dense cap at 0 there is no
+        # fallback, so the sparse route certifies every one itself
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(7, 501))
+            u, v = np.triu_indices(n, 1)
+            keep = rng.random(len(u)) < math.exp(rng.uniform(math.log(0.5), math.log(40.0))) / (n - 1)
+            g = _graph(n, zip(u[keep].tolist(), v[keep].tolist()))
+            dense = algebraic_connectivity(g)
+            with monkeypatch.context() as m:
+                _force_sparse(m)
+                m.setattr(graph_core, "_DENSE_MAX_N", 0)
+                assert abs(algebraic_connectivity(g) - dense) <= 2.0 * _LAMBDA2_TOL
 
     CLOSED_FORMS = {
         "cycle5": (_cycle_edges(5), 5, 2.0 - 2.0 * math.cos(2.0 * math.pi / 5)),
@@ -301,6 +358,9 @@ class TestAlgebraicConnectivity:
         "star512": ([(0, i) for i in range(1, 512)], 512, 1.0),
         "complete7": (oc.edge_slots(7), 7, 7.0),
         "complete512": (oc.edge_slots(512), 512, 512.0),
+        # the sparse route, chosen by size and mean degree
+        "cycle100000": (_cycle_edges(100_000), 100_000, 2.0 - 2.0 * math.cos(2.0 * math.pi / 100_000)),
+        "grid316x316": (_grid_edges(316), 316**2, 2.0 - 2.0 * math.cos(math.pi / 316)),
     }
 
     @pytest.mark.parametrize("family", CLOSED_FORMS)
@@ -332,6 +392,66 @@ class TestAlgebraicConnectivity:
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
         with pytest.raises(NumericalError, match=f"inertia check: lambda2 is {side}"):
             algebraic_connectivity(g)
+
+    @pytest.mark.parametrize(
+        "sign, message",
+        [(1.0, "inertia check: lambda2 is below"), (-1.0, "Rayleigh check: lambda2 may be above")],
+        ids=["below", "above"],
+    )
+    def test_sparse_checks_reject_a_shifted_estimate(self, monkeypatch, sign, message):
+        # C_4096 takes the sparse route; its lambda2 (2.4e-6, double) is far
+        # from both ends of [0, 4096], so no snap absorbs a 2 tol shift
+        want = 2.0 - 2.0 * math.cos(2.0 * math.pi / 4096)
+        assert algebraic_connectivity(self.C4096) == pytest.approx(want, abs=_LAMBDA2_TOL)
+        _shift_sparse_estimate(monkeypatch, sign * 2.0 * _LAMBDA2_TOL)
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
+        with pytest.raises(NumericalError, match=message):
+            algebraic_connectivity(self.C4096)
+
+    def test_sparse_failure_falls_back_to_dense(self, monkeypatch):
+        # an estimate 2 tol too high fails the sparse lower check; a graph
+        # within the dense cap is then solved again on the dense route
+        g = _graph(64, _cycle_edges(64))
+        dense = algebraic_connectivity(g)
+        _force_sparse(monkeypatch)
+        _shift_sparse_estimate(monkeypatch, 2.0 * _LAMBDA2_TOL)
+        assert algebraic_connectivity(g) == dense
+
+    def test_sparse_inertia_needs_a_symmetric_permutation(self, monkeypatch):
+        # the real factors, but with the rows reordered: their pivots still
+        # hold one negative entry, and must not be counted
+        from scipy.sparse import linalg
+
+        splu = linalg.splu
+
+        class RowsMoved:
+            def __init__(self, lu):
+                self.solve, self.U, self.perm_c = lu.solve, lu.U, lu.perm_c
+                self.perm_r = np.roll(lu.perm_r, 1)
+
+        monkeypatch.setattr(linalg, "splu", lambda *a, **k: RowsMoved(splu(*a, **k)))
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
+        with pytest.raises(NumericalError, match="left the diagonal"):
+            algebraic_connectivity(self.C4096)
+
+    def test_sparse_route_failure_is_a_numerical_error(self, monkeypatch):
+        from scipy.sparse import linalg
+
+        def diverges(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(linalg, "eigsh", diverges)
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            algebraic_connectivity(self.C4096)
+
+    def test_dense_route_refuses_a_graph_above_its_cap(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 64)
+        monkeypatch.setattr(graph_core, "laplacian", built.append)
+        with pytest.raises(ValueError, match=f"n=65 nodes needs about {24 * 65**2} bytes"):
+            algebraic_connectivity(_graph(65, oc.edge_slots(65)))
+        assert built == []
 
     def test_rejects_a_single_node(self):
         with pytest.raises(ValueError, match="at least 2 nodes"):
