@@ -81,6 +81,7 @@ class TestParser:
     def test_duplicate_lines_collapse_to_one_edge(self):
         g = from_edge_list("n=3\n0 1\n1 0\n0 1\n1 2\n")
         assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.degrees().tolist() == [1, 2, 1]
 
     def test_running_example_graph(self):
         # diamond: K4 minus the (0, 3) edge
@@ -111,6 +112,52 @@ class TestParser:
     def test_error_line_numbers_count_raw_lines(self):
         with pytest.raises(EdgeListError, match="line 4"):
             from_edge_list("n=3\n# fine\n0 1\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("n=3\n0 1\n2 2\n", "line 3: self loop"),
+            ("n=3\n0 1\n1 3\n", "line 3: endpoint out of range"),
+            ("n=3\n0 99999999999999999999\n", "line 2: endpoint out of range"),
+            ("n=3\n0 1\n1\n", "line 3: expected two endpoints"),
+            ("n=1\n", "at least 2"),
+        ],
+    )
+    def test_plain_text_errors_name_the_line(self, text, fragment):
+        # plain text the array path would parse, but for one bad line
+        with pytest.raises(EdgeListError, match=fragment):
+            from_edge_list(text)
+
+    def test_array_path_takes_plain_text_and_primes_pairs(self):
+        text = "n=12\n3 1\n\n 0\t11 \n2 0\n   \n11 3\n010 4"
+        g = graph_core._from_plain_edge_list(text)
+        assert g is not None
+        assert g == graph_core._from_edge_lines(text)
+        assert g.pairs.tolist() == [[1, 3], [0, 11], [0, 2], [3, 11], [4, 10]]
+        assert g.pairs.dtype == np.intp and not g.pairs.flags.writeable
+        assert min_degree(g) == 0 and laplacian(g).trace() == 10.0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n=3\n0 1 # c\n", "n=3\r\n0 1\r\n", " n=3\n0 1\n", "n=3\n0 +1\n", "n=3\n0 1\x0c\n", "n=3\n0 ¹\n"],
+    )
+    def test_array_path_leaves_other_text_to_the_loop(self, text):
+        assert graph_core._from_plain_edge_list(text) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["0", "1", "2", "3", "7", "01", " ", "  ", "\t", "\n", "\n", "#", "\r", "-", "x"]),
+            max_size=30,
+        ),
+        st.sampled_from(["n=2\n", "n=4\n", "n=8\n", "n=1\n", "# c\nn=4\n"]),
+    )
+    def test_array_path_agrees_with_the_loop(self, tokens, header):
+        text = header + "".join(tokens)
+        g = graph_core._from_plain_edge_list(text)
+        if g is not None:
+            assert g == graph_core._from_edge_lines(text)
+            assert sorted(map(tuple, g.pairs.tolist())) == sorted(g.edges)
 
 
 class TestGraphType:
