@@ -5,38 +5,28 @@ works from this module's Laplacian spectrum and combinatorial oracles, so
 the routines here favor exactness over scale: dense eigensolves with a
 certificate, and Seidel's all-pairs algorithm for the exact distances.
 
-There are three certificates. spectrum returns every eigenvalue, each
-within tol of *some* eigenvalue: the eigenvectors come with it, and the
-2-norm of each residual column L v - w v bounds that value's error.
-algebraic_connectivity returns one value r, within 1e-9 of lambda2 *by
-index*, by one of two routes chosen from the graph's size and density.
-Dense: it computes eigenvalues only, then shows with two Cholesky
-factorizations of the shifted, deflated Laplacian that exactly one
-eigenvalue lies at or below r - 1e-9 and at least two at or below
-r + 1e-9 (Sylvester's law of inertia), up to the factorizations'
-backward error of about n eps (lambda_n + 1), which stays well below
-1e-9 only while n (lambda_n + 1) is well below 9e6. Sparse (more than
-1024 nodes, mean degree at most 8): a shift-invert Lanczos estimate on a
-sparse Laplacian; below, exactly one negative pivot in a sparse LU of
-L - (r - 1e-9) I that kept to the diagonal (a symmetric LDL^T in exact
-arithmetic); above, the Rayleigh quotient of the returned vector, which
-bounds lambda2 by Courant-Fischer with only rounding to account for.
-That LU does not pivot, so its backward error has no a-priori bound: a
-pivot near zero inflates later entries and can move the count. Where
-either sparse check fails, a graph small enough for the dense route is
-solved again there. The release needs only lambda2, so it takes
+There are two eigenvalue certificates. spectrum returns every eigenvalue,
+each within tol of *some* eigenvalue: the eigenvectors come with it, and
+the 2-norm of each residual column L v - w v bounds that value's error.
+algebraic_connectivity returns lambda2 alone, within 1e-9 *by index*:
+from a dense eigenvalue-only solve checked by two Cholesky inertia tests,
+or, on large sparse graphs, from a preconditioned LOBPCG estimate checked
+by a sparse pivot count below and a Rayleigh bound above. Its docstring
+says what each check proves. The release needs only lambda2, so it takes
 algebraic_connectivity, which skips the eigenvectors and the n^3
 residual product.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
 paths beyond about 2,000 nodes (at 3,072 nodes a pass takes ~10 s against
-BFS's ~7 s). BFS remains for the connectivity check.
+BFS's ~7 s). The connectivity check is a level-at-a-time numpy BFS.
 
-A Graph never changes after construction, so each graph runs at most one
-Seidel pass: the diameter and the distance sum are cached together on
-the instance (never in a table keyed on the graph's value), as is the
-(m, 2) edge array the Laplacian, the degrees and Seidel all start from.
+A Graph is its node count and its (m, 2) edge array, which the
+Laplacian, the degrees and Seidel all start from; the frozenset of edges
+is built only for the callers that ask for it. A Graph never changes
+after construction, so each graph runs at most one Seidel pass: the
+diameter and the distance sum are cached together on the instance
+(never in a table keyed on the graph's value).
 Seidel's products run in float32 wherever that is exact: the squaring
 products are only compared with zero, and every unwinding entry and
 partial sum is an integer no larger than (n-1)^2, which float32 holds
@@ -45,9 +35,8 @@ exactly while it is at most 2^24 (n <= 4096).
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -93,6 +82,10 @@ _SPARSE_MAX_MEAN_DEGREE = 8
 # MemoryError, so larger dense graphs are refused before anything is built.
 _DENSE_MAX_N = 13_000
 
+# LOBPCG steps on the sparse route: 3-11 on the release's members, 190-250
+# on random 8-regular graphs, whose lambda2 has close neighbours
+_LOBPCG_MAXITER = 400
+
 # relative inflation of the sparse route's Rayleigh bound: the fsum-based
 # quotient of a centred vector is within about 4.5 eps of the exact one
 _RAYLEIGH_MARGIN = 16 * np.finfo(float).eps
@@ -103,69 +96,66 @@ _RAYLEIGH_MARGIN = 16 * np.finfo(float).eps
 _PLAIN_BYTES = np.zeros(256, dtype=bool)
 _PLAIN_BYTES[[ord(c) for c in "0123456789 \t\n"]] = True
 
+# Graph sorts its edges by the key lo * n + hi while n^2 fits in intp
+_KEY_MAX_N = math.isqrt(np.iinfo(np.intp).max)
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
-
-@dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on nodes 0..n-1.
 
-    Edges are stored as a frozenset of (u, v) tuples with u < v, so two
-    graphs compare equal iff they have the same node count and edge set.
+    Its value is n and pairs, a read-only (m, 2) intp array of the edges:
+    rows u < v, sorted, none twice. Graphs are equal, and hash alike, iff
+    their n and array bytes are. edges is the frozenset of (u, v) tuples,
+    built on first use. Graph(n, edges) takes pairs u < v inside 0..n-1,
+    as any iterable or an (m, 2) array; from_edges also takes u > v.
+    Repeated pairs collapse.
     """
 
-    n: int
-    edges: frozenset
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        pairs = _pair_array(edges)
+        lo, hi = pairs.T
+        bad = ~((0 <= lo) & (lo < hi) & (hi < n))
+        if bad.any():
+            edge = tuple(pairs[bad.argmax()].tolist())
+            raise ValueError(f"edge {edge!r} is not a normalized pair inside 0..{n - 1}")
+        # sorting keys beats np.unique's hashing (8 against 58 ms on K_600)
+        if n <= _KEY_MAX_N:
+            pairs = np.stack(np.divmod(np.sort(lo * n + hi), n), axis=1)
+        else:
+            pairs = pairs[np.lexsort((hi, lo))]
+        fresh = np.ones(len(pairs), dtype=bool)
+        fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        pairs = pairs[fresh]
+        pairs.flags.writeable = False
+        self.__dict__.update(n=n, pairs=pairs)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e!r} is not a normalized pair inside 0..{self.n - 1}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and (self.n, self.pairs.tobytes()) == (other.n, other.pairs.tobytes())
+
+    def __hash__(self):
+        return hash((self.n, self.pairs.tobytes()))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={list(map(tuple, self.pairs.tolist()))!r})"
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from arbitrary (u, v) pairs, normalizing order."""
-        edges = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self loop ({u}, {v}) is not allowed")
-            edges.add(_normalize_edge(int(u), int(v)))
-        return cls(n=n, edges=frozenset(edges))
-
-    @classmethod
-    def _from_checked_pairs(cls, n: int, edges: frozenset, pairs: np.ndarray) -> "Graph":
-        """The graph on n nodes whose edges are both edges and pairs' rows.
-
-        The caller has made the checks __post_init__ would, on the array,
-        so the per-edge loop is skipped and pairs becomes the cached array.
-        """
-        graph = cls.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "edges", edges)
-        pairs.flags.writeable = False
-        graph.__dict__["pairs"] = pairs
-        return graph
-
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        """Build a graph from (u, v) pairs in either order."""
+        pairs = _pair_array(pairs)
+        u, v = pairs.T
+        if (u == v).any():
+            raise ValueError(f"self loop {tuple(pairs[(u == v).argmax()].tolist())!r} is not allowed")
+        return cls(n, np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1))
 
     @cached_property
-    def pairs(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) intp array, built once."""
-        m = len(self.edges)
-        flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.intp, 2 * m)
-        pairs = flat.reshape(m, 2)
-        pairs.flags.writeable = False
-        return pairs
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of (u, v) tuples with u < v."""
+        return frozenset(zip(*self.pairs.T.tolist()))
 
     @cached_property
     def _distance_summary(self) -> tuple[int, int]:
@@ -179,6 +169,17 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n)
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """pairs (an iterable of (u, v) or an (m, 2) array) as an (m, 2) intp array."""
+    try:
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp)
+    except OverflowError:
+        raise ValueError("edge endpoints must fit in a 64-bit index") from None
+    if arr.size and arr.shape[1:] != (2,):
+        raise ValueError(f"edges must be (u, v) pairs, got an array of shape {arr.shape}")
+    return arr.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def from_edge_list(text: str) -> Graph:
 def _from_edge_lines(text: str) -> Graph:
     """from_edge_list one line at a time; every input error is raised here."""
     n = None
-    edges = set()
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -234,11 +235,11 @@ def _from_edge_lines(text: str) -> Graph:
             raise EdgeListError(f"line {lineno}: self loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(f"line {lineno}: endpoint out of range for n={n}: {raw!r}")
-        # repeated lines are harmless; they collapse to the same edge
-        edges.add(_normalize_edge(u, v))
+        pairs.append((u, v))
     if n is None:
         raise EdgeListError("missing node count header 'n=<int>'")
-    return Graph(n=n, edges=frozenset(edges))
+    # repeated lines are harmless; they collapse to the same edge
+    return Graph.from_edges(n, pairs)
 
 
 def _from_plain_edge_list(text: str) -> Graph | None:
@@ -247,12 +248,10 @@ def _from_plain_edge_list(text: str) -> Graph | None:
     It takes text whose first line is the header and whose other lines
     hold only ASCII digits, spaces and tabs, zero or two numbers a line,
     which is how large edge lists are written, and parses them with numpy
-    instead of one Python step a line: K_600's 179,700 lines take 0.10 s
-    instead of 0.26 s on a 2-core x86 host, most of it now the frozenset
-    of edges. The graph it returns equals the loop's. Comments, other
-    whitespace and every error, a self loop or an out-of-range endpoint
-    included, are left to the loop, which names the line. The edge array
-    it builds keeps the file's order and becomes Graph.pairs.
+    instead of one Python step a line. The graph it returns equals the
+    loop's. Comments, other whitespace and every error, a self loop or an
+    out-of-range endpoint included, are left to the loop, which names the
+    line.
     """
     head, _, body = text.partition("\n")
     digits = head[2:]
@@ -279,11 +278,7 @@ def _from_plain_edge_list(text: str) -> Graph | None:
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     if not (lo < hi).all() or (hi.size and hi.max() >= n):
         return None
-    edges = frozenset(zip(lo.tolist(), hi.tolist()))
-    if len(edges) < len(lo):
-        # repeated lines: pairs is built from the edge set instead
-        return Graph(n=n, edges=edges)
-    return Graph._from_checked_pairs(n, edges, np.stack([lo, hi], axis=1))
+    return Graph(n, np.stack([lo, hi], axis=1))
 
 
 def laplacians(n: int, pairs, weights) -> np.ndarray:
@@ -306,7 +301,7 @@ def laplacians(n: int, pairs, weights) -> np.ndarray:
 
 def laplacian(graph: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A as a dense float array."""
-    return laplacians(graph.n, graph.pairs, np.ones(len(graph.edges)))
+    return laplacians(graph.n, graph.pairs, np.ones(len(graph.pairs)))
 
 
 def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
@@ -367,16 +362,19 @@ def algebraic_connectivity(graph: Graph) -> float:
     heuristic. Graphs above 13,000 nodes are refused here, before the
     24 n^2 bytes it needs are allocated.
 
-    Sparse: the rank-one term would fill a sparse matrix, so the estimate
-    is a shift-invert Lanczos run (scipy's eigsh) on the sparse Laplacian
-    with the constant vector projected out, and the two sides are shown
-    separately. Below, L - (r - tol) I must have exactly one negative
+    Sparse: the rank-one term would fill a sparse matrix, so it is applied
+    as an operator, x -> L x + (n + 1) mean(x) 1, whose least eigenvalue
+    is lambda2. A LOBPCG run (Knyazev, SIAM J. Sci. Comput. 23(2), 2001)
+    from a fixed start, so that the value repeats bit for bit, estimates
+    it, preconditioned by a sparse LU of L shifted just below 0 with the
+    constant vector projected out. It stops silently at a residual norm of
+    tol or after a fixed number of steps; two checks decide. Below, L - (r - tol) I must have exactly one negative
     pivot in a sparse LU that kept to the diagonal, which is a symmetric
     LDL^T factorization in exact arithmetic. It does not pivot, so its
     backward error has no a-priori bound: where a leading block of the
     elimination has an eigenvalue within about tol of lambda2, a pivot of
     size tol is followed by entries of size 1/tol, and rounding can move
-    the count (21 of the 1,093 connected graphs on 2..5 nodes and 500
+    the count (22 of the 1,093 connected graphs on 2..5 nodes and 500
     sampled 6-node ones miscount this way). Above, by Courant-Fischer
     over span{1, x} for the returned vector x,
 
@@ -384,13 +382,13 @@ def algebraic_connectivity(graph: Graph) -> float:
 
     which needs no factorization, only a stated rounding margin, and does
     not depend on how many eigenvalues sit within tol of r (the star's
-    lambda2 = 1 has multiplicity n - 2). The start vector and the
-    generator for restarts are fixed, so the value repeats bit for bit.
-    When either side fails, a graph within the dense route's node cap is
-    solved again on the dense route; a larger one raises.
+    lambda2 = 1 has multiplicity n - 2). When either side fails, a graph
+    within the dense route's node cap is solved again on the dense route;
+    a larger one raises.
 
     On both routes the lower test is skipped when r - tol <= 0, because
-    L is positive semidefinite.
+    L is positive semidefinite, and the dense upper one when r + tol >= n,
+    because no Laplacian eigenvalue of an n-node graph exceeds n.
 
     Raises:
         ValueError: for a single node, or a graph above the dense route's
@@ -399,7 +397,7 @@ def algebraic_connectivity(graph: Graph) -> float:
             contradicts the value.
     """
     n = graph.n
-    if n > _SPARSE_MIN_N and 2 * len(graph.edges) <= _SPARSE_MAX_MEAN_DEGREE * n:
+    if n > _SPARSE_MIN_N and 2 * len(graph.pairs) <= _SPARSE_MAX_MEAN_DEGREE * n:
         try:
             return _sparse_algebraic_connectivity(graph)
         except NumericalError:
@@ -422,7 +420,7 @@ def algebraic_connectivity(graph: Graph) -> float:
     diag = L.diagonal().copy()
     if r - tol > 0.0 and not _positive_definite(L, diag, r - tol):
         raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
-    if _positive_definite(L, diag, r + tol):
+    if r + tol < n and _positive_definite(L, diag, r + tol):
         raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
     return r
 
@@ -450,28 +448,34 @@ def _sparse_algebraic_connectivity(graph: Graph) -> float:
     L = sparse.csc_matrix((weights, (rows, cols)), shape=(n, n))
     eye = sparse.identity(n, format="csc")
     # a connected graph has lambda2 >= 4 / (n diameter) > 4 / n^2 (Mohar
-    # 1991), so the shift stays below a quarter of lambda2 and the wanted
-    # eigenvalue of the inverse stands well clear of the rest
+    # 1991), so the shift stays below a quarter of lambda2 and the factor
+    # acts nearly as the inverse on lambda2's eigenvectors
     sigma = -1.0 / n**2
     lu = _symmetric_lu(L - sigma * eye)
 
-    def deflated_inverse(x):
-        # the constant vector is L's known null vector; without it the
-        # largest eigenvalue of the inverse is lambda2's, also when the
-        # graph is disconnected and 0 is a repeated eigenvalue
-        y = lu.solve(x - x.mean())
-        return y - y.mean()
+    def deflated_laplacian(X):
+        # L's null vector, the constant, moves to n + 1 > lambda_n, so the
+        # least eigenvalue is lambda2, also where a disconnected graph repeats 0
+        return L @ X + (n + 1) * X.mean(axis=0)
 
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    v0 -= v0.mean()
+    def deflated_inverse(X):
+        Y = lu.solve(X - X.mean(axis=0))
+        return Y - Y.mean(axis=0)
+
+    # the deflated preconditioner cannot remove a constant part of the
+    # iterate, so the fixed start vector has none
+    x0 = np.random.default_rng(0).standard_normal((n, 1))
+    x0 -= x0.mean()
     try:
-        w, X = linalg.eigsh(
-            L, k=1, sigma=sigma, which="LM", v0=v0, rng=rng,
-            OPinv=linalg.LinearOperator((n, n), matvec=deflated_inverse, dtype=float),
-        )
-    except linalg.ArpackNoConvergence as exc:
-        raise NumericalError(f"shift-invert Lanczos did not converge: {exc}") from exc
+        with warnings.catch_warnings():
+            # lobpcg warns when it stops short of tol and when it takes a
+            # dense solve below 5 nodes; the checks below judge either way
+            warnings.simplefilter("ignore", UserWarning)
+            w, X = linalg.lobpcg(
+                deflated_laplacian, x0, M=deflated_inverse, tol=tol, maxiter=_LOBPCG_MAXITER, largest=False
+            )
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"LOBPCG did not converge: {exc}") from exc
     r = _snap(float(w[0]), n)
     if r - tol > 0.0:
         shifted = _symmetric_lu(L - (r - tol) * eye)
@@ -559,24 +563,18 @@ def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _bfs_levels(adj: list, source: int) -> np.ndarray:
-    """Hop distances from source; unreachable nodes are -1."""
-    dist = np.full(len(adj), -1, dtype=int)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 def is_connected(graph: Graph) -> bool:
-    if graph.n == 1:
-        return True
-    return (_bfs_levels(graph.adjacency_lists(), 0) >= 0).all()
+    """Whether every node is reachable from node 0: a numpy BFS over the
+    edge array, O(n + m) per level and a level per hop of node 0's reach."""
+    u, v = graph.pairs.T
+    seen = np.zeros(graph.n, dtype=bool)
+    frontier = np.arange(graph.n) == 0
+    while frontier.any():
+        seen |= frontier
+        reached = np.zeros_like(seen)
+        reached[v[frontier[u]]] = reached[u[frontier[v]]] = True
+        frontier = reached & ~seen
+    return bool(seen.all())
 
 
 def symmetric_difference_size(g: Graph, h: Graph) -> int:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -133,7 +134,7 @@ class TestParser:
         g = graph_core._from_plain_edge_list(text)
         assert g is not None
         assert g == graph_core._from_edge_lines(text)
-        assert g.pairs.tolist() == [[1, 3], [0, 11], [0, 2], [3, 11], [4, 10]]
+        assert g.pairs.tolist() == [[0, 2], [0, 11], [1, 3], [3, 11], [4, 10]]
         assert g.pairs.dtype == np.intp and not g.pairs.flags.writeable
         assert min_degree(g) == 0 and laplacian(g).trace() == 10.0
 
@@ -157,7 +158,7 @@ class TestParser:
         g = graph_core._from_plain_edge_list(text)
         if g is not None:
             assert g == graph_core._from_edge_lines(text)
-            assert sorted(map(tuple, g.pairs.tolist())) == sorted(g.edges)
+            assert list(map(tuple, g.pairs.tolist())) == sorted(g.edges)
 
 
 class TestGraphType:
@@ -174,6 +175,12 @@ class TestGraphType:
     def test_from_edges_normalizes_and_dedups(self):
         g = Graph.from_edges(3, [(1, 0), (0, 1), (2, 1)])
         assert g.edges == frozenset({(0, 1), (1, 2)})
+
+    def test_endpoints_beyond_intp_are_a_value_error(self):
+        # the line parser takes any header, so an endpoint can be in range
+        # and still not fit the edge array
+        with pytest.raises(ValueError, match="64-bit index"):
+            from_edge_list(f"n={2**80}\n0 {2**70}\n")
 
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -323,16 +330,16 @@ def _force_sparse(monkeypatch):
 
 
 def _shift_sparse_estimate(monkeypatch, by):
-    """Move the estimate scipy's eigsh hands the sparse route by `by`."""
+    """Move the estimate scipy's lobpcg hands the sparse route by `by`."""
     from scipy.sparse import linalg
 
-    eigsh = linalg.eigsh
+    lobpcg = linalg.lobpcg
 
     def shifted(*args, **kwargs):
-        w, X = eigsh(*args, **kwargs)
+        w, X = lobpcg(*args, **kwargs)
         return w + by, X
 
-    monkeypatch.setattr(linalg, "eigsh", shifted)
+    monkeypatch.setattr(linalg, "lobpcg", shifted)
 
 
 class TestAlgebraicConnectivity:
@@ -350,7 +357,9 @@ class TestAlgebraicConnectivity:
             dense_solves.append(graph)
             return laplacian(graph)
 
-        with monkeypatch.context() as m:
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            # the route silences lobpcg's warnings; nothing else may warn
+            warnings.simplefilter("error")
             _force_sparse(m)
             m.setattr(graph_core, "laplacian", counted)
             assert abs(algebraic_connectivity(g) - want) <= _LAMBDA2_TOL
@@ -440,6 +449,40 @@ class TestAlgebraicConnectivity:
         with pytest.raises(NumericalError, match=f"inertia check: lambda2 is {side}"):
             algebraic_connectivity(g)
 
+    def test_dense_route_skips_the_upper_test_at_n(self, monkeypatch):
+        # every Laplacian eigenvalue of a 7-node graph is at most 7, so once
+        # K_7's estimate snaps to 7 there is nothing above it to rule out
+        shifts = []
+        positive_definite = graph_core._positive_definite
+
+        def counted(M, diag, shift):
+            shifts.append(shift)
+            return positive_definite(M, diag, shift)
+
+        monkeypatch.setattr(graph_core, "_positive_definite", counted)
+        assert algebraic_connectivity(_graph(7, oc.edge_slots(7))) == 7.0
+        assert shifts == [7.0 - _LAMBDA2_TOL]
+        shifts.clear()
+        assert algebraic_connectivity(C4) == pytest.approx(2.0, abs=_LAMBDA2_TOL)
+        assert len(shifts) == 2
+
+    def test_rayleigh_bound_covers_the_exact_quotient(self):
+        # the exact quotient of each rounded vector, over its exact mean, in
+        # rationals; without _RAYLEIGH_MARGIN about half of these fall below
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            slots = oc.edge_slots(n)
+            keep = rng.random(len(slots)) < rng.uniform(0.1, 0.9)
+            pairs = np.array([s for s, k in zip(slots, keep) if k], dtype=np.intp).reshape(-1, 2)
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-1, 1)
+            exact = [Fraction(t) for t in x.tolist()]
+            mean = sum(exact) / n
+            spread = sum((t - mean) ** 2 for t in exact)
+            energy = sum((exact[u] - exact[v]) ** 2 for u, v in pairs.tolist())
+            bound = graph_core._rayleigh_bound(pairs, x)
+            assert spread > 0 and Fraction(bound) >= energy / spread
+
     @pytest.mark.parametrize(
         "sign, message",
         [(1.0, "inertia check: lambda2 is below"), (-1.0, "Rayleigh check: lambda2 may be above")],
@@ -485,9 +528,10 @@ class TestAlgebraicConnectivity:
         from scipy.sparse import linalg
 
         def diverges(*args, **kwargs):
-            raise linalg.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+            # what lobpcg raises when its last Rayleigh-Ritz step breaks down
+            raise ValueError("eigh has failed in lobpcg postprocessing")
 
-        monkeypatch.setattr(linalg, "eigsh", diverges)
+        monkeypatch.setattr(linalg, "lobpcg", diverges)
         monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
         with pytest.raises(NumericalError, match="did not converge"):
             algebraic_connectivity(self.C4096)
@@ -597,9 +641,9 @@ class TestDistances:
         assert repr(g) == repr(h)
 
     @pytest.mark.parametrize("n, edges", [(4, []), (6, _cycle_edges(6)), (40, oc.edge_slots(40))])
-    def test_pairs_follow_the_edge_sets_order(self, n, edges):
-        g = _graph(n, edges)
-        want = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2)
+    def test_pairs_are_the_sorted_edge_set(self, n, edges):
+        g = _graph(n, edges[::-1])
+        want = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
         assert g.pairs.dtype == want.dtype
         assert np.array_equal(g.pairs, want)
 
