@@ -182,6 +182,12 @@ class TestGraphType:
         with pytest.raises(ValueError, match="64-bit index"):
             from_edge_list(f"n={2**80}\n0 {2**70}\n")
 
+    def test_canonical_order_past_the_sort_keys_range(self):
+        # lo * n + hi overflows intp at this n, so the rows are lexsorted
+        big = 2**39
+        g = Graph.from_edges(2 * big, [(big + 1, big), (5, big), (big, 5), (7, 5)])
+        assert g.pairs.tolist() == [[5, 7], [5, big], [big, big + 1]]
+
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(1, 1)])
