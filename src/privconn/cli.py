@@ -36,6 +36,7 @@ from .graph_core import from_edge_list, spectrum
 from .privacy_mechanism import PrivacyParams, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
+    _MAX_ENUMERATION_N,
     _MAX_SENSITIVITY_N,
     attack_under_noise,
     audit_concentration,
@@ -243,7 +244,6 @@ def _cmd_bounds(args) -> int:
 def _cmd_validate(args) -> int:
     params = _params(args)
     t_grid = _parse_grid(args.t_grid, "t grid")
-    seed = args.seed if args.seed is not None else 0
     audit = {}
     failed = False
     if args.n <= _MAX_SENSITIVITY_N:
@@ -261,7 +261,7 @@ def _cmd_validate(args) -> int:
         pairs=args.pairs,
         samples_per_graph=args.samples_per_graph,
         bins=args.bins,
-        seed=seed,
+        seed=args.seed,
         scale_factor=args.scale_factor,
     )
     audit["dp_distinguisher"] = dp.as_dict()
@@ -274,12 +274,12 @@ def _cmd_validate(args) -> int:
         t_grid,
         args.a,
         trials=args.conc_trials,
-        seed=seed,
+        seed=args.seed,
     )
     audit["concentration"] = conc.as_dict()
     failed = failed or not conc.passed
     expect = audit_expectations(
-        args.lambda2, b, float(args.n), trials=args.exp_trials, seed=seed
+        args.lambda2, b, float(args.n), trials=args.exp_trials, seed=args.seed
     )
     audit["expectations"] = expect.as_dict()
     failed = failed or not expect.passed
@@ -292,7 +292,7 @@ def _cmd_validate(args) -> int:
             "samples_per_graph": args.samples_per_graph,
             "pairs": args.pairs,
             "bins": args.bins,
-            "seed": seed,
+            "seed": args.seed,
             "scale_factor": args.scale_factor,
             "lambda2": args.lambda2,
             "a": args.a,
@@ -310,6 +310,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_attack_demo(args) -> int:
     graph = _read_graph(args.input)
+    # before the O(n^2) knowledge lists and the eigensolve, not after them
+    if graph.n > _MAX_ENUMERATION_N:
+        raise ValueError(f"enumeration supports 2 <= n <= {_MAX_ENUMERATION_N}")
     if not (0 <= args.node < graph.n):
         raise ValueError(f"node {args.node} out of range for n = {graph.n}")
     known_present = [e for e in graph.edges if args.node not in e]

@@ -5,16 +5,14 @@ works from this module's Laplacian spectrum and combinatorial oracles, so
 the routines here favor exactness over scale: dense eigensolves with a
 certificate, and Seidel's all-pairs algorithm for the exact distances.
 
-There are two eigenvalue certificates. spectrum returns every eigenvalue,
-each within tol of *some* eigenvalue: the eigenvectors come with it, and
-the 2-norm of each residual column L v - w v bounds that value's error.
-algebraic_connectivity returns lambda2 alone, within 1e-9 *by index*:
-from a dense eigenvalue-only solve checked by two Cholesky inertia tests,
-or, on large sparse graphs, from a preconditioned LOBPCG estimate checked
-by a sparse pivot count below and a Rayleigh bound above. Its docstring
-says what each check proves. The release needs only lambda2, so it takes
-algebraic_connectivity, which skips the eigenvectors and the n^3
-residual product.
+There is one eigenvalue certificate: an eigenvalue's index, proved by
+Sylvester's law of inertia. algebraic_connectivity returns lambda2 alone,
+within 1e-9 by index: from a dense eigenvalue-only solve checked by two
+Cholesky inertia tests, or, on large sparse graphs, from a preconditioned
+LOBPCG estimate checked by a sparse pivot count below and a Rayleigh
+bound above. Its docstring says what each check proves. spectrum runs the
+same dense solve and tests, and certifies lambda_n the same way; its other
+eigenvalues are the solver's, uncertified.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
@@ -304,35 +302,26 @@ def laplacian(graph: Graph) -> np.ndarray:
     return laplacians(graph.n, graph.pairs, np.ones(len(graph.pairs)))
 
 
-def spectrum(graph: Graph, tol: float = 1e-9) -> SpectralSummary:
-    """Full Laplacian spectrum with a residual-certified accuracy of tol.
+def spectrum(graph: Graph) -> SpectralSummary:
+    """Every Laplacian eigenvalue, with lambda2 and lambda_n certified by index.
 
-    Eigenvalues come from a dense symmetric eigendecomposition. Each pair
-    (value, unit vector) is then checked against the residual 2-norm
-    ||L v - w v||, which for symmetric matrices bounds the eigenvalue
-    error directly.
-    Values within tol of the theoretical range [0, n] are snapped onto it
-    so that exact-zero and exact-n cases survive roundoff.
+    It runs algebraic_connectivity's dense route, which certifies lambda2
+    to within tol = 1e-9, and certifies lambda_n the same way on
+    sigma I - L, which is positive definite iff lambda_n < sigma: a
+    Cholesky factorization that succeeds at lambda_n + tol and fails at
+    lambda_n - tol puts lambda_n within tol of its value, up to the same
+    backward error. The first test is skipped when lambda_n snaps to n,
+    above which no eigenvalue lies. The other eigenvalues are the solver's
+    output after the snap and are not certified. Graphs above 13,000
+    nodes are refused before anything is built, as on that route.
 
     Raises:
-        NumericalError: if the decomposition fails or the residual check
-            cannot certify the requested tolerance.
+        ValueError: for a single node, or above the dense route's node cap.
+        NumericalError: if the solver does not converge or a test
+            contradicts the value.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    L, (w, V) = _solve_laplacian(graph, "spectrum", np.linalg.eigh)
-    # the eigenvalue bound needs each column's 2-norm, not its largest entry
-    R = L @ V
-    R -= V * w
-    residual = np.linalg.norm(R, axis=0).max()
-    if residual > tol:
-        raise NumericalError(
-            f"eigenvalue residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    w = np.where((w < 0.0) & (w > -tol), 0.0, w)
-    w = np.where((w > graph.n) & (w < graph.n + tol), float(graph.n), w)
-    vals = tuple(float(x) for x in w)
-    return SpectralSummary(eigenvalues=vals, lambda2=vals[1], lambda_n=vals[-1])
+    w = _dense_eigenvalues(graph, "spectrum", lambda_n=True).tolist()
+    return SpectralSummary(eigenvalues=tuple(w), lambda2=w[1], lambda_n=w[-1])
 
 
 def algebraic_connectivity(graph: Graph) -> float:
@@ -405,33 +394,55 @@ def algebraic_connectivity(graph: Graph) -> float:
             # decides afresh where it may run
             if n > _DENSE_MAX_N:
                 raise
+    return float(_dense_eigenvalues(graph, "algebraic connectivity")[1])
+
+
+def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.ndarray:
+    """Every Laplacian eigenvalue from one eigvalsh, snapped, with lambda2
+    certified by index and, if asked, lambda_n; see algebraic_connectivity
+    and spectrum."""
+    n = graph.n
+    if n < 2:
+        raise ValueError(f"{what} requires at least 2 nodes")
     if n > _DENSE_MAX_N:
         raise ValueError(
-            f"algebraic connectivity: a dense solve on n={n} nodes needs about "
-            f"{24 * n * n} bytes; the dense route takes at most {_DENSE_MAX_N} nodes "
-            f"and the sparse one a mean degree of at most {_SPARSE_MAX_MEAN_DEGREE}"
+            f"{what}: a dense solve on n={n} nodes needs about {24 * n * n} bytes; "
+            f"the dense route takes at most {_DENSE_MAX_N} nodes "
+            f"and the sparse lambda2 route a mean degree of at most {_SPARSE_MAX_MEAN_DEGREE}"
         )
-    tol = _LAMBDA2_TOL
-    L, w = _solve_laplacian(graph, "algebraic connectivity", np.linalg.eigvalsh)
-    r = _snap(float(w[1]), n)
+    L = laplacian(graph)
+    try:
+        w = np.linalg.eigvalsh(L)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    s = float(w[-1]) + 1.0
+    w = _snap(w, n)
+    tol, r, top = _LAMBDA2_TOL, float(w[1]), float(w[-1])
+    if lambda_n:
+        # -L with sigma - degree on its diagonal is sigma I - L; negating in
+        # place, and back, keeps to the route's three n x n arrays
+        degrees = L.diagonal().copy()
+        L *= -1.0
+        if top + tol < n and not _positive_definite(L, -degrees, -(top + tol)):
+            raise NumericalError(f"inertia check: lambda_n is above {top!r} + {tol:.3e}")
+        if _positive_definite(L, -degrees, -(top - tol)):
+            raise NumericalError(f"inertia check: lambda_n is below {top!r} - {tol:.3e}")
+        L *= -1.0
+        np.fill_diagonal(L, degrees)
     # L becomes M(0) in place: the constant vector's eigenvalue 0 moves to
     # s = lambda_n + 1, above r + tol
-    L += (float(w[-1]) + 1.0) / n
+    L += s / n
     diag = L.diagonal().copy()
     if r - tol > 0.0 and not _positive_definite(L, diag, r - tol):
         raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
     if r + tol < n and _positive_definite(L, diag, r + tol):
         raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
-    return r
+    return w
 
 
-def _snap(r: float, n: int) -> float:
-    """An estimate of lambda2 within _LAMBDA2_TOL of 0 or n, moved onto it."""
-    if r <= _LAMBDA2_TOL:
-        return 0.0
-    if r >= n - _LAMBDA2_TOL:
-        return float(n)
-    return r
+def _snap(w, n: int):
+    """Eigenvalue estimates within _LAMBDA2_TOL of 0 or n, moved onto that end."""
+    return np.where(w <= _LAMBDA2_TOL, 0.0, np.where(w >= n - _LAMBDA2_TOL, float(n), w))
 
 
 def _sparse_algebraic_connectivity(graph: Graph) -> float:
@@ -476,7 +487,7 @@ def _sparse_algebraic_connectivity(graph: Graph) -> float:
             )
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"LOBPCG did not converge: {exc}") from exc
-    r = _snap(float(w[0]), n)
+    r = float(_snap(w[0], n))
     if r - tol > 0.0:
         shifted = _symmetric_lu(L - (r - tol) * eye)
         pivots = shifted.U.diagonal()
@@ -536,21 +547,6 @@ def _rayleigh_bound(pairs: np.ndarray, x: np.ndarray) -> float:
     if not spread > 0.0:
         return math.inf
     return math.fsum((d * d).tolist()) / spread * (1.0 + _RAYLEIGH_MARGIN)
-
-
-def _solve_laplacian(graph: Graph, what: str, solver):
-    """The Laplacian L and solver(L), which must be one of numpy's eigensolvers.
-
-    Shares the node-count check and the non-convergence error between
-    spectrum and algebraic_connectivity.
-    """
-    if graph.n < 2:
-        raise ValueError(f"{what} requires at least 2 nodes")
-    L = laplacian(graph)
-    try:
-        return L, solver(L)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
 
 
 def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:

@@ -147,9 +147,9 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
 
 
 def _lambda2_of_edges(n: int, edges: frozenset) -> float:
-    # the certified path also snaps -1e-16 style roundoff back into [0, n],
+    # spectrum's lambda2 is certified by index and snapped onto [0, n],
     # which the sampler's domain check insists on
-    return spectrum(Graph(n=n, edges=frozenset(edges))).lambda2
+    return spectrum(Graph(n=n, edges=edges)).lambda2
 
 
 def _adjacent_pairs(n: int, A: int, pairs: int, rng: np.random.Generator):

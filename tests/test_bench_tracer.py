@@ -1,0 +1,40 @@
+"""The benchmark's tracer rebinds public names in privconn's modules from
+outside (bench/tracer.py). A name it pins that a module no longer has would
+crash a traced benchmark run, so the rebinding is checked here."""
+
+import importlib
+import importlib.util
+import types
+from pathlib import Path
+
+MODULES = ("cli", "graph_core", "privacy_mechanism", "consensus_analysis", "property_bounds", "validation")
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_rebinds_and_restores_every_pinned_name():
+    tracer = _load_tracer()
+    pc = types.SimpleNamespace(**{m: importlib.import_module(f"privconn.{m}") for m in MODULES})
+    pinned = {
+        (path, attr): getattr(tracer._owner(pc, path), attr)
+        for path, attr, _ in tracer.SPANS + tracer.COUNTED
+    }
+    t = tracer.Tracer()
+    t.install(pc)
+    try:
+        for (path, attr), fn in pinned.items():
+            assert getattr(tracer._owner(pc, path), attr) is not fn, (path, attr)
+        # validation calls spectrum through its own module's binding
+        assert abs(pc.validation._lambda2_of_edges(3, {(0, 1), (1, 2)}) - 1.0) <= 1e-9
+        assert [span[0] for span in t.spans] == ["graph_core.spectrum", "graph_core.laplacian"]
+        assert t.counts["graph_core.eigensolve_n_max"] == 3
+    finally:
+        t.remove()
+    for (path, attr), fn in pinned.items():
+        assert getattr(tracer._owner(pc, path), attr) is fn, (path, attr)

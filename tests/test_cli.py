@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from privconn import NumericalError, optimize_alpha
+from privconn import NumericalError, cli, optimize_alpha
 from privconn.cli import main
 
 DIAMOND = "n=4\n0 1\n0 2\n1 2\n1 3\n2 3\n"
@@ -408,6 +408,18 @@ class TestAttackDemo:
         path.write_text(CYCLE4)
         code, _ = run(capsys, ["attack-demo", "--input", str(path), "--node", "4"])
         assert code == 2
+
+
+    def test_large_graph_exits_2_before_the_eigensolve(self, capsys, tmp_path, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("spectrum ran on a graph the attack refuses")
+
+        monkeypatch.setattr(cli, "spectrum", refuse)
+        path = tmp_path / "path.txt"
+        path.write_text("n=2000\n" + "".join(f"{i} {i + 1}\n" for i in range(1999)))
+        code = main(["attack-demo", "--input", str(path), "--node", "0"])
+        assert code == 2
+        assert "enumeration supports 2 <= n <= 6" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_an_argparse_error():

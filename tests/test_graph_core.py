@@ -304,29 +304,24 @@ class TestSpectrum:
             after = spectrum(Graph(n=n, edges=edges | {extra})).lambda2
             assert after >= before - 1e-9
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            spectrum(C4, tol=0.0)
+    def test_certified_ends_against_mpmath(self):
+        # lambda2 is algebraic_connectivity's dense value bit for bit, and
+        # both certified ends agree with the 40-digit oracle
+        for n in range(2, 6):
+            for edges in oc.connected_edge_sets(n):
+                g = Graph(n=n, edges=edges)
+                s = spectrum(g)
+                want = oc.mp_eigenvalues(oc.laplacian_int(n, edges))
+                assert s.lambda2 == algebraic_connectivity(g)
+                assert abs(s.lambda2 - want[1]) <= _LAMBDA2_TOL
+                assert abs(s.lambda_n - want[-1]) <= _LAMBDA2_TOL
 
-    def test_residual_is_each_columns_two_norm(self, monkeypatch):
-        # Shifting one eigenvalue of C_64 by 2 tol gives its residual column
-        # a 2-norm of 2 tol, but no entry above 2 tol * sqrt(2/64) = 0.35 tol,
-        # so a check on the largest entry would certify the wrong value.
-        tol = 1e-9
-        eigh = np.linalg.eigh
-
-        def shifted(L):
-            w, V = eigh(L)
-            w[5] += 2.0 * tol
-            return w, V
-
-        g = _graph(64, _cycle_edges(64))
-        L = laplacian(g)
-        w, V = shifted(L)
-        assert np.abs(L @ V - V * w).max() < 0.4 * tol
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
-        with pytest.raises(NumericalError, match="residual"):
-            spectrum(g, tol=tol)
+    def test_refuses_a_graph_above_the_dense_cap(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graph_core, "laplacian", built.append)
+        with pytest.raises(ValueError, match="n=13001 nodes needs about"):
+            spectrum(_graph(13_001, _path_edges(13_001)))
+        assert built == []
 
 
 def _force_sparse(monkeypatch):
@@ -407,28 +402,37 @@ class TestAlgebraicConnectivity:
                 m.setattr(graph_core, "_DENSE_MAX_N", 0)
                 assert abs(algebraic_connectivity(g) - dense) <= 2.0 * _LAMBDA2_TOL
 
+    # (edges, n, lambda2, lambda_n)
     CLOSED_FORMS = {
-        "cycle5": (_cycle_edges(5), 5, 2.0 - 2.0 * math.cos(2.0 * math.pi / 5)),
-        "cycle512": (_cycle_edges(512), 512, 2.0 - 2.0 * math.cos(2.0 * math.pi / 512)),
-        "path7": (_path_edges(7), 7, 2.0 - 2.0 * math.cos(math.pi / 7)),
-        "path512": (_path_edges(512), 512, 2.0 - 2.0 * math.cos(math.pi / 512)),
-        "grid5x5": (_grid_edges(5), 25, 2.0 - 2.0 * math.cos(math.pi / 5)),
-        "grid22x22": (_grid_edges(22), 484, 2.0 - 2.0 * math.cos(math.pi / 22)),
-        "hypercube3": (_hypercube_edges(3), 8, 2.0),
-        "hypercube9": (_hypercube_edges(9), 512, 2.0),
-        "star9": ([(0, i) for i in range(1, 9)], 9, 1.0),
-        "star512": ([(0, i) for i in range(1, 512)], 512, 1.0),
-        "complete7": (oc.edge_slots(7), 7, 7.0),
-        "complete512": (oc.edge_slots(512), 512, 512.0),
+        "cycle5": (_cycle_edges(5), 5, 2.0 - 2.0 * math.cos(2.0 * math.pi / 5), 2.0 + 2.0 * math.cos(math.pi / 5)),
+        "cycle512": (_cycle_edges(512), 512, 2.0 - 2.0 * math.cos(2.0 * math.pi / 512), 4.0),
+        "path7": (_path_edges(7), 7, 2.0 - 2.0 * math.cos(math.pi / 7), 2.0 + 2.0 * math.cos(math.pi / 7)),
+        "path512": (_path_edges(512), 512, 2.0 - 2.0 * math.cos(math.pi / 512), 2.0 + 2.0 * math.cos(math.pi / 512)),
+        "grid5x5": (_grid_edges(5), 25, 2.0 - 2.0 * math.cos(math.pi / 5), 4.0 + 4.0 * math.cos(math.pi / 5)),
+        "grid22x22": (_grid_edges(22), 484, 2.0 - 2.0 * math.cos(math.pi / 22), 4.0 + 4.0 * math.cos(math.pi / 22)),
+        "hypercube3": (_hypercube_edges(3), 8, 2.0, 6.0),
+        "hypercube9": (_hypercube_edges(9), 512, 2.0, 18.0),
+        "star9": ([(0, i) for i in range(1, 9)], 9, 1.0, 9.0),
+        "star512": ([(0, i) for i in range(1, 512)], 512, 1.0, 512.0),
+        "complete7": (oc.edge_slots(7), 7, 7.0, 7.0),
+        "complete512": (oc.edge_slots(512), 512, 512.0, 512.0),
         # the sparse route, chosen by size and mean degree
-        "cycle100000": (_cycle_edges(100_000), 100_000, 2.0 - 2.0 * math.cos(2.0 * math.pi / 100_000)),
-        "grid316x316": (_grid_edges(316), 316**2, 2.0 - 2.0 * math.cos(math.pi / 316)),
+        "cycle100000": (_cycle_edges(100_000), 100_000, 2.0 - 2.0 * math.cos(2.0 * math.pi / 100_000), 4.0),
+        "grid316x316": (_grid_edges(316), 316**2, 2.0 - 2.0 * math.cos(math.pi / 316), 4.0 + 4.0 * math.cos(math.pi / 316)),
     }
 
     @pytest.mark.parametrize("family", CLOSED_FORMS)
     def test_closed_forms(self, family):
-        edges, n, want = self.CLOSED_FORMS[family]
-        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=_LAMBDA2_TOL)
+        edges, n, want, lambda_n = self.CLOSED_FORMS[family]
+        g = _graph(n, edges)
+        got = algebraic_connectivity(g)
+        assert got == pytest.approx(want, abs=_LAMBDA2_TOL)
+        if n <= graph_core._SPARSE_MIN_N:
+            # spectrum runs the same dense route: lambda2 bit for bit, and
+            # a certified lambda_n
+            s = spectrum(g)
+            assert s.lambda2 == got
+            assert s.lambda_n == pytest.approx(lambda_n, abs=_LAMBDA2_TOL)
 
     def test_boundary_snapping(self):
         assert algebraic_connectivity(_graph(6, oc.edge_slots(6))) == 6.0
@@ -436,24 +440,31 @@ class TestAlgebraicConnectivity:
         two_triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         assert algebraic_connectivity(_graph(6, two_triangles)) == 0.0
 
-    @pytest.mark.parametrize("sign, side", [(1.0, "below"), (-1.0, "above")])
-    def test_inertia_rejects_a_shifted_estimate(self, monkeypatch, sign, side):
-        # lambda2 of C_64 (0.0096, a double eigenvalue) is far from both
-        # ends of [0, 64], so no snap absorbs the shift: a value 2 tol too
-        # high fails the lower inertia test, one 2 tol too low the upper
+    @pytest.mark.parametrize(
+        "index, sign, side",
+        [(1, 1.0, "below"), (1, -1.0, "above"), (-1, 1.0, "below"), (-1, -1.0, "above")],
+        ids=["1.0-below", "-1.0-above", "lambda_n-below", "lambda_n-above"],
+    )
+    def test_inertia_rejects_a_shifted_estimate(self, monkeypatch, index, sign, side):
+        # lambda2 of C_64 (0.0096, a double eigenvalue) and lambda_n (4,
+        # simple) are far from both ends of [0, 64], so no snap absorbs the
+        # shift: a value 2 tol too high fails the lower inertia test, one
+        # 2 tol too low the upper
         tol = _LAMBDA2_TOL
         eigvalsh = np.linalg.eigvalsh
 
         def shifted(L):
             w = eigvalsh(L)
-            w[1] += sign * 2.0 * tol
+            w[index] += sign * 2.0 * tol
             return w
 
         g = _graph(64, _cycle_edges(64))
-        assert abs(algebraic_connectivity(g) - spectrum(g).lambda2) <= tol
+        assert spectrum(g).lambda_n == pytest.approx(4.0, abs=tol)
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-        with pytest.raises(NumericalError, match=f"inertia check: lambda2 is {side}"):
-            algebraic_connectivity(g)
+        name, solvers = ("lambda2", (spectrum, algebraic_connectivity)) if index == 1 else ("lambda_n", (spectrum,))
+        for solve in solvers:
+            with pytest.raises(NumericalError, match=f"inertia check: {name} is {side}"):
+                solve(g)
 
     def test_dense_route_skips_the_upper_test_at_n(self, monkeypatch):
         # every Laplacian eigenvalue of a 7-node graph is at most 7, so once
