@@ -33,7 +33,7 @@ from .consensus_analysis import (
 )
 from .errors import InfeasibleParamsError, NumericalError
 from .graph_core import from_edge_list, spectrum
-from .privacy_mechanism import PrivacyParams, privatize, solve_scale_b
+from .privacy_mechanism import PrivacyParams, _release, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
     _MAX_ENUMERATION_N,
@@ -322,13 +322,13 @@ def _cmd_attack_demo(args) -> int:
         for v in range(u + 1, graph.n)
         if args.node not in (u, v) and (u, v) not in graph.edges
     ]
-    summ = spectrum(graph)
-    exact = exact_value_attack(
-        graph.n, summ.lambda2, known_present, known_absent, tol=args.tol
-    )
+    # one eigensolve feeds the exact attack and the release: on the dense
+    # route, which every n <= 6 graph takes, spectrum's lambda2 is
+    # algebraic_connectivity's bit for bit, so the draw is privatize's
+    lambda2 = spectrum(graph).lambda2
+    exact = exact_value_attack(graph.n, lambda2, known_present, known_absent, tol=args.tol)
     params = _params(args)
-    rng = np.random.default_rng(args.seed)
-    release = privatize(graph, params, rng)
+    release = _release(lambda2, graph.n, params, np.random.default_rng(args.seed))
     noisy = attack_under_noise(
         graph.n,
         release.lambda2_tilde,

@@ -9,6 +9,10 @@ law of X (three pieces: rho_terms), concentration_bound turns it into a
 tail probability via Markov, and settle_time inverts the bound: past the
 settle time the estimate stays within the tolerance except with the
 stated probability, whatever the draw was.
+
+rho_terms writes the below-centre piece with exprel(z) = expm1(z)/z of a
+nonpositive z, one expression that neither divides by b*t - 1 nor
+overflows, on either side of b*t = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .privacy_mechanism import normalizer_C
+from .privacy_mechanism import _check_scale, normalizer_C
 
 __all__ = [
     "RateErrorQuery",
@@ -30,11 +34,6 @@ __all__ = [
     "settle_time",
     "worst_case_settle_time",
 ]
-
-# Switch rho1 to its series form when b*t is within this of 1, where the
-# direct expression divides by b*t - 1.
-_SERIES_WINDOW = 1e-6
-
 
 @dataclass(frozen=True)
 class RateErrorQuery:
@@ -88,8 +87,7 @@ class ConcentrationBound:
 
 
 def _check_inputs(lambda2: float, b: float, n: float) -> None:
-    if not (b > 0.0 and math.isfinite(b)):
-        raise ValueError(f"scale must be positive and finite, got {b}")
+    _check_scale(b)
     if not (n > 0.0 and math.isfinite(n)):
         raise ValueError(f"domain width must be positive and finite, got {n}")
     if not (0.0 <= lambda2 <= n):
@@ -107,27 +105,26 @@ def rho_terms(t, lambda2: float, b: float, n: float):
     """The three pieces of the absolute-error integral, before the 1/(2C).
 
     rho1 collects the mass below the center, rho2 and rho3 split the mass
-    above it; all three are nonnegative for t > 0. rho1's direct form has
-    a removable singularity at b*t = 1; inside a small window around it
-    the first-order expansion takes over, agreeing with the direct form
-    to O((b*t - 1)^2). Accepts a scalar t or an array of times.
+    above it; all three are nonnegative for t > 0. rho1 is
+    (lambda2/b) exp(-lambda2 min(t, 1/b)) exprel(-lambda2 |1 - bt|/b)
+    + exp(-lambda2 t) expm1(-lambda2/b). Every exponent is nonpositive,
+    so exprel(z) = expm1(z)/z (1 at z = 0) lies in (0, 1] and no term
+    overflows; near bt = 1 it tends to 1 without a division by bt - 1.
+    Accepts a scalar t or an array of times.
+
+    Raises:
+        ValueError: if any time is not positive and finite.
     """
     _check_inputs(lambda2, b, n)
     t = np.asarray(t, dtype=float)
-    if (t <= 0.0).any():
-        raise ValueError("times must be strictly positive")
+    if not ((t > 0.0) & np.isfinite(t)).all():
+        raise ValueError("times must be positive and finite")
     bt = b * t
-    s = bt - 1.0
-    near = np.abs(s) < _SERIES_WINDOW
-    safe_s = np.where(near, 1.0, s)
     decay = np.exp(-lambda2 * t)
-    edge = math.exp(-lambda2 / b)
-    rho1_direct = (edge * (1.0 + s * decay) - bt * decay) / safe_s
-    rho1_series = (
-        b * np.exp(-lambda2 / b - lambda2 * t)
-        + (lambda2 - b + 0.5 * lambda2**2 * (t - 1.0 / b)) * decay
-    ) / b
-    rho1 = np.where(near, rho1_series, rho1_direct)
+    z = -lambda2 * np.abs(1.0 - bt) / b
+    exprel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    below = (lambda2 / b) * np.exp(-lambda2 * np.minimum(t, 1.0 / b)) * exprel
+    rho1 = below + decay * math.expm1(-lambda2 / b)
     rho2 = decay * (1.0 - math.exp((lambda2 - n) / b))
     rho3 = (decay - np.exp((lambda2 - n * (bt + 1.0)) / b)) / (bt + 1.0)
     if rho1.ndim:

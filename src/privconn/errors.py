@@ -4,6 +4,8 @@ The CLI maps these onto distinct process exit codes, so library code
 should raise the most specific type that applies.
 """
 
+__all__ = ["EdgeListError", "InfeasibleParamsError", "NumericalError"]
+
 
 class EdgeListError(ValueError):
     """Malformed edge-list input (bad header, token, range, or duplicate)."""

@@ -48,7 +48,6 @@ __all__ = [
     "SpectralSummary",
     "from_edge_list",
     "laplacian",
-    "laplacians",
     "spectrum",
     "algebraic_connectivity",
     "is_connected",

@@ -77,15 +77,24 @@ def sensitivity_bound(A: int) -> float:
     return 2.0 * A
 
 
+def _check_scale(b: float) -> None:
+    if not (b > 0.0 and math.isfinite(b)):
+        raise ValueError(f"scale must be positive and finite, got {b}")
+
+
 def normalizer_C(center: float, b: float, n: float) -> float:
     """Mass the unit Laplace(center, b) density keeps on [0, n].
 
     C = 1 - (exp(-center/b) + exp(-(n - center)/b)) / 2, computed through
     expm1 so that wide scales (b >> n, where C is tiny) keep full relative
-    precision. Always in (0, 1) for center inside the domain.
+    precision. Always in (0, 1) for center inside the domain: an infinite
+    scale, which would make it 0, is rejected with the other invalid ones.
+
+    Raises:
+        ValueError: if b is not positive and finite, or center lies
+            outside [0, n].
     """
-    if b <= 0.0:
-        raise ValueError(f"scale must be positive, got {b}")
+    _check_scale(b)
     if not (0.0 <= center <= n):
         raise ValueError(f"center {center} outside the support [0, {n}]")
     return -0.5 * (math.expm1(-center / b) + math.expm1(-(n - center) / b))
@@ -171,8 +180,7 @@ class BoundedLaplaceDist:
     domain_upper_n: float
 
     def __post_init__(self):
-        if self.scale_b <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale_b}")
+        _check_scale(self.scale_b)
         if self.domain_upper_n <= 0.0:
             raise ValueError(f"domain width must be positive, got {self.domain_upper_n}")
         if not (0.0 <= self.center <= self.domain_upper_n):
@@ -272,13 +280,12 @@ def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> 
     graph's node count and draws once from the truncated Laplace
     centered at that value. Only the sparse route imports scipy.
     """
-    lambda2 = algebraic_connectivity(graph)
-    b = solve_scale_b(params, float(graph.n))
-    dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(graph.n))
-    draw = float(dist.sample(rng))
-    return PrivateRelease(
-        lambda2_tilde=draw,
-        scale_b=b,
-        n=graph.n,
-        params=params,
-    )
+    return _release(algebraic_connectivity(graph), graph.n, params, rng)
+
+
+def _release(lambda2: float, n: int, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:
+    """One draw from the truncated Laplace centered at lambda2 on [0, n],
+    at the minimal feasible scale for n."""
+    b = solve_scale_b(params, float(n))
+    dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
+    return PrivateRelease(lambda2_tilde=float(dist.sample(rng)), scale_b=b, n=n, params=params)

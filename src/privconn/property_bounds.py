@@ -226,24 +226,20 @@ def exact_bounds(
 def expected_lambda2(lambda2: float, b: float, n: float) -> float:
     """Mean of the private draw: pulled toward n/2 by the truncation.
 
-    (2 lambda2 + b e^{-lambda2/b} - (b + n) e^{-(n - lambda2)/b}) / (2 C).
-    Equals lambda2 exactly when lambda2 = n/2; the bias vanishes as
-    b -> 0 and saturates to n/2 as b -> infinity. For b >= n those terms
-    of size b cancel to order n (1% wrong at b/n = 1e7), so the mean is
-    taken as lambda2 + b (P(2, (n - lambda2)/b) - P(2, lambda2/b)) / (2 C)
-    instead, with P(2, z) = 1 - (1 + z) e^{-z} the regularized incomplete
-    gamma function, which stays accurate for small z.
+    lambda2 + b (P(2, (n - lambda2)/b) - P(2, lambda2/b)) / (2 C), with
+    P(2, z) = 1 - (1 + z) e^{-z} the regularized incomplete gamma
+    function. It keeps full precision at every b/n, where the expanded
+    form's terms of size b cancel to order n once b >> n (1% wrong at
+    b/n = 1e7). Equals lambda2 exactly when lambda2 = n/2; the bias
+    vanishes as b -> 0 and saturates to n/2 as b -> infinity.
     """
+    from scipy.special import gammainc
+
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
-    if b >= n:
-        from scipy.special import gammainc
-
-        above, below = gammainc(2.0, (n - lambda2) / b), gammainc(2.0, lambda2 / b)
-        return lambda2 + b * float(above - below) / (2.0 * C)
-    num = 2.0 * lambda2 + b * math.exp(-lambda2 / b) - (b + n) * math.exp(-(n - lambda2) / b)
-    return num / (2.0 * C)
+    above, below = gammainc(2.0, (n - lambda2) / b), gammainc(2.0, lambda2 / b)
+    return lambda2 + b * float(above - below) / (2.0 * C)
 
 
 def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:

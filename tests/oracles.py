@@ -256,6 +256,18 @@ def mp_expected_rate_error(t: float, lambda2: float, b: float, n: float, dps: in
         return float(val)
 
 
+def mp_rho_below(t: float, lambda2: float, b: float, dps: int = 40) -> float:
+    """The below-centre piece of the rate-error integral, unnormalized:
+    (1/b) integral over [0, lambda2] of (exp(-x t) - exp(-lambda2 t))
+    exp(-(lambda2 - x)/b) dx, by high-precision quadrature."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam, bb, tt = mp.mpf(lambda2), mp.mpf(b), mp.mpf(t)
+        r = mp.exp(-lam * tt)
+        return float(mp.quad(lambda x: (mp.exp(-x * tt) - r) * mp.exp(-(lam - x) / bb) / bb, [0, lam]))
+
+
 def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> float:
     """E[func(X)] under the bounded Laplace law, in high-precision arithmetic.
 

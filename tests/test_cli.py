@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from privconn import NumericalError, cli, optimize_alpha
+from privconn import (
+    NumericalError,
+    PrivacyParams,
+    cli,
+    from_edge_list,
+    graph_core,
+    optimize_alpha,
+    privatize,
+)
 from privconn.cli import main
 
 DIAMOND = "n=4\n0 1\n0 2\n1 2\n1 3\n2 3\n"
@@ -409,6 +417,25 @@ class TestAttackDemo:
         code, _ = run(capsys, ["attack-demo", "--input", str(path), "--node", "4"])
         assert code == 2
 
+    def test_one_eigensolve_feeds_the_attack_and_the_release(self, capsys, tmp_path, monkeypatch):
+        solve = graph_core._dense_eigenvalues
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(graph_core, "_dense_eigenvalues", counted)
+        path = tmp_path / "cycle.txt"
+        path.write_text(CYCLE4)
+        code, rep = run_json(capsys, ["attack-demo", "--input", str(path), "--node", "3", "--seed", "5"])
+        assert code == 0
+        assert calls == ["spectrum"]
+        graph = from_edge_list(CYCLE4)
+        params = PrivacyParams(epsilon=0.4, delta=0.05, A=1)
+        release = privatize(graph, params, np.random.default_rng(5))
+        assert rep["results"]["private_release"]["lambda2_tilde"] == release.lambda2_tilde
+        assert rep["public_statistics"]["b"] == release.scale_b
 
     def test_large_graph_exits_2_before_the_eigensolve(self, capsys, tmp_path, monkeypatch):
         def refuse(graph):

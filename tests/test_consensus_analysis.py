@@ -69,10 +69,26 @@ class TestRhoTerms:
                 assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
 
     def test_nonpositive_time_raises(self):
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match="positive and finite"):
             rho_terms(0.0, LAM2, B, N)
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(ValueError, match="positive and finite"):
             rho_terms(np.array([1.0, -2.0]), LAM2, B, N)
+
+    @pytest.mark.parametrize("t", [np.array([1.0, np.nan]), np.inf, -np.inf, np.nan])
+    def test_nonfinite_time_raises(self, t):
+        with pytest.raises(ValueError, match="times must be positive and finite"):
+            rho_terms(t, LAM2, B, N)
+        with pytest.raises(ValueError, match="times must be positive and finite"):
+            expected_rate_error(t, LAM2, B, N)
+
+    @pytest.mark.parametrize("lam2, b", [(0.001, 30.0), (0.001, 1000.0), (0.5, 1000.0)])
+    @pytest.mark.parametrize("s", [-2e-6, -1.01e-6, -1e-7, 0.0, 1e-7, 1.01e-6, 2e-6])
+    def test_below_centre_term_near_bt_one(self, lam2, b, s):
+        """rho1 near b*t = 1, where a form dividing by b*t - 1 cancels:
+        small lambda2 / b makes the quotient's numerator tiny."""
+        t = (1.0 + s) / b
+        want = oc.mp_rho_below(t, lam2, b)
+        assert rho_terms(t, lam2, b, N)[0] == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_nonnegative_over_random_sweep(self):
         rng = np.random.default_rng(17)
@@ -116,8 +132,8 @@ class TestExpectedRateError:
         assert expected_rate_error(t, lam2, b, n) == pytest.approx(want, rel=1e-8)
 
     def test_series_window_is_seamless(self):
-        """bt = 1 switches the first term to a series expansion; the value
-        must agree with 40-digit arithmetic on both sides of the cut."""
+        """rho1 has no special case at bt = 1; the rate error must agree
+        with 40-digit arithmetic on both sides of it and on it."""
         for s in (-2e-6, -1.01e-6, -9.9e-7, -1e-7, 0.0, 1e-7, 9.9e-7, 1.01e-6, 2e-6):
             t = (1.0 + s) / B
             want = _mp_rate_error(t, LAM2, B, N)

@@ -11,6 +11,8 @@ from privconn import (
     PrivacyParams,
     algebraic_connectivity,
     delta_C,
+    expected_bounds,
+    expected_lambda2,
     normalizer_C,
     privatize,
     sensitivity_bound,
@@ -84,6 +86,22 @@ class TestNormalizer:
             normalizer_C(-0.1, 1.0, 10.0)
         with pytest.raises(ValueError):
             normalizer_C(10.1, 1.0, 10.0)
+
+    @pytest.mark.parametrize("b", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda b: normalizer_C(1.0, b, 10.0),
+            lambda b: expected_lambda2(1.0, b, 10.0),
+            lambda b: expected_bounds(1.0, b, 4.0, 10),
+            lambda b: BoundedLaplaceDist(center=1.0, scale_b=b, domain_upper_n=10.0),
+        ],
+        ids=["normalizer_C", "expected_lambda2", "expected_bounds", "BoundedLaplaceDist"],
+    )
+    def test_scale_must_be_positive_and_finite(self, entry, b):
+        # an infinite scale would make C = 0 and a NaN one C = NaN
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            entry(b)
 
 
 class TestDeltaC:
