@@ -282,17 +282,20 @@ def laplacians(n: int, pairs, weights) -> np.ndarray:
     """Dense weighted Laplacians on n nodes, batched over weight vectors.
 
     pairs is an (m, 2) array of distinct node pairs and weights an
-    (..., m) array; the result has shape (..., n, n), one Laplacian per
-    weight vector. Entries are subtracted from zeros, so an absent pair
-    stays +0.0 rather than -0.0, which eigvalsh does not treat alike.
+    (m, ...) array; the result has shape (n, n, ...), one Laplacian per
+    trailing index. The batch axis is last, so each entry of every
+    member is one contiguous row, which keeps the build and column-wise
+    batched factorizations in stride. Entries are subtracted from zeros,
+    so an absent pair stays +0.0 rather than -0.0, which eigvalsh does
+    not treat alike.
     """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    L = np.zeros(np.shape(weights)[:-1] + (n, n))
+    L = np.zeros((n, n) + np.shape(weights)[1:])
     u, v = pairs[:, 0], pairs[:, 1]
-    L[..., u, v] -= weights
-    L[..., v, u] -= weights
+    L[u, v] -= weights
+    L[v, u] -= weights
     diag = np.arange(n)
-    L[..., diag, diag] -= L.sum(-1)
+    L[diag, diag] -= L.sum(1)
     return L
 
 

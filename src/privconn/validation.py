@@ -22,6 +22,20 @@ lists every graph consistent with partial edge knowledge and a published
 connectivity value; exact_value_attack reports which edges that pins
 down; attack_under_noise repeats the enumeration against a private
 release, where the candidate set swells back to near-uselessness.
+
+All three keep a completion when its lambda2 lies in the window
+(v - tol, v + tol] around the published value v, and decide that by
+Sylvester's law of inertia instead of computing lambda2. With
+M = L + ((n + 1)/n) 11^T, whose least eigenvalue is lambda2 (the all-ones
+eigenvalue 0 of L moves to n + 1), lambda2 > s exactly when M - s I has a
+Cholesky factor. So a completion is kept when that factor exists at
+v - tol and does not at v + tol. The lower test is skipped when
+v - tol <= 0 (L is positive semidefinite), the upper one when
+v + tol >= n (no Laplacian eigenvalue exceeds n), and with both skipped
+no matrix is built. At n <= 6, ||M|| <= n + 1 = 7, so the
+factorization's backward error, about 1e-14, is far below any tolerance
+worth asking for: the selection is certified by index up to that error,
+with no computed eigenvalue involved.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ import numpy as np
 
 from .consensus_analysis import RateErrorQuery, concentration_bound, expected_rate_error
 from .graph_core import Graph, laplacians, spectrum
-from .privacy_mechanism import BoundedLaplaceDist, PrivacyParams, solve_scale_b
+from .privacy_mechanism import BoundedLaplaceDist, PrivacyParams, _check_scale, solve_scale_b
 from .property_bounds import expected_inv_sqrt_lambda2, expected_lambda2
 
 __all__ = [
@@ -54,8 +68,6 @@ __all__ = [
 # is kept one node smaller than the plain enumerations.
 _MAX_SENSITIVITY_N = 5
 _MAX_ENUMERATION_N = 6
-# Cap on 2^k candidate completions in the attack enumerations.
-_MAX_UNKNOWN_SLOTS = 20
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,9 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
         raise ValueError(f"exhaustive sensitivity audit supports 2 <= n <= {_MAX_SENSITIVITY_N}")
     if A < 1:
         raise ValueError(f"adjacency radius must be >= 1, got {A}")
-    slots, lam2 = _enumerate_completions(n, frozenset(), frozenset())
+    slots = _edge_slots(n)
+    Ls = _completion_laplacians(n, slots, frozenset())
+    lam2 = np.linalg.eigvalsh(np.moveaxis(Ls, -1, 0))[:, 1]
     m = len(slots)
     bound = 2.0 * A
     idx = np.arange(1 << m)
@@ -398,44 +412,74 @@ def _mask_bits(masks: np.ndarray, k: int) -> np.ndarray:
     return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
 
 
-def _enumerate_completions(
-    n: int, known_present: frozenset, known_absent: frozenset
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """lambda2 of every graph that agrees with the adversary's knowledge.
+def _completion_laplacians(n: int, unknown: list, known_present: frozenset) -> np.ndarray:
+    """Laplacians of every completion, shape (n, n, 2^k), batch axis last.
 
-    Returns the unknown slots and an array indexed by completion bitmask;
-    with no knowledge that is every graph on n labelled nodes.
+    Member i has unknown[j] exactly when bit j of i is set, plus every
+    known-present edge; with no knowledge that is every graph on n
+    labelled nodes.
     """
-    slots = _edge_slots(n)
-    unknown = [s for s in slots if s not in known_present and s not in known_absent]
     k = len(unknown)
-    if k > _MAX_UNKNOWN_SLOTS:
-        raise ValueError(
-            f"{k} unknown edge slots means 2^{k} candidates; cap is 2^{_MAX_UNKNOWN_SLOTS}"
-        )
     # known-present edges are slots whose bit is set in every completion
     pairs = unknown + list(known_present)
     always = ((1 << len(known_present)) - 1) << k
-    Ls = laplacians(n, pairs, _mask_bits(np.arange(1 << k) | always, len(pairs)))
-    return unknown, np.linalg.eigvalsh(Ls)[:, 1]
+    return laplacians(n, pairs, _mask_bits(np.arange(1 << k) | always, len(pairs)).T)
+
+
+def _cholesky_succeeds(M: np.ndarray, shift: float) -> np.ndarray:
+    """Whether each member M[:, :, i] - shift I has a Cholesky factor.
+
+    numpy's stacked cholesky raises at the first member that has none,
+    so the textbook column steps run here over the whole batch at once,
+    each factor entry one contiguous row. A member fails at its first
+    pivot that is not positive (NaN included), as in LAPACK's potrf;
+    after that its steps divide by 1 and are ignored.
+    """
+    n = M.shape[0]
+    ok = np.ones(M.shape[2:], dtype=bool)
+    L = [[] for _ in range(n)]  # L[i][j]: factor entry (i, j), j < i
+    for j in range(n):
+        pivot = M[j, j] - shift - sum(x * x for x in L[j])
+        ok &= pivot > 0.0
+        root = np.sqrt(np.where(ok, pivot, 1.0))
+        for i in range(j + 1, n):
+            L[i].append((M[i, j] - sum(a * b for a, b in zip(L[i], L[j]))) / root)
+    return ok
 
 
 def _consistent_masks(
     n: int, known_present, known_absent, lambda2_observed: float, tol: float
 ) -> tuple[list[tuple[int, int]], frozenset, np.ndarray, int]:
-    """(unknown slots, known-present edges, slot bits of each consistent
-    completion, completions enumerated)."""
+    """(unknown slots, known-present edges, slot bits of each completion
+    whose lambda2 lies in (v - tol, v + tol], completions enumerated).
+
+    The window is decided by two inertia tests (see the module
+    docstring), each skipped where the spectrum's range [0, n] already
+    settles it.
+    """
     if not 2 <= n <= _MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 2 <= n <= {_MAX_ENUMERATION_N}")
+    if not math.isfinite(lambda2_observed):
+        raise ValueError(f"observed value must be finite, got {lambda2_observed}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     kp = _normalize_known(n, known_present)
     ka = _normalize_known(n, known_absent)
     if kp & ka:
         raise ValueError(f"edges claimed both present and absent: {sorted(kp & ka)}")
-    unknown, lam2 = _enumerate_completions(n, kp, ka)
-    sel = np.flatnonzero(np.abs(lam2 - lambda2_observed) <= tol)
-    return unknown, kp, _mask_bits(sel, len(unknown)), int(lam2.size)
+    unknown = [s for s in _edge_slots(n) if s not in kp and s not in ka]
+    k = len(unknown)
+    lower, upper = lambda2_observed - tol, lambda2_observed + tol
+    keep = np.ones(1 << k, dtype=bool)
+    if lower > 0.0 or upper < n:
+        # M = L + ((n + 1)/n) 11^T: its least eigenvalue is lambda2
+        M = _completion_laplacians(n, unknown, kp)
+        M += (n + 1) / n
+        if lower > 0.0:
+            keep &= _cholesky_succeeds(M, lower)
+        if upper < n:
+            keep &= ~_cholesky_succeeds(M, upper)
+    return unknown, kp, _mask_bits(np.flatnonzero(keep), k), 1 << k
 
 
 def _completions(unknown, kp: frozenset, bits: np.ndarray) -> list[frozenset]:
@@ -464,11 +508,17 @@ def enumerate_consistent_graphs(
     tol: float = 1e-6,
 ) -> list[Graph]:
     """Every n-node graph matching the edge knowledge whose connectivity
-    lies within tol of the observed value.
+    lies in (lambda2_observed - tol, lambda2_observed + tol].
 
-    The candidate list depends only on the knowledge sets, not on the
-    order their edges were given in; tol = inf drops the value constraint
-    and returns the whole knowledge-consistent family.
+    Membership is certified by index, by two Cholesky inertia tests (see
+    the module docstring), not read off a computed eigenvalue. The
+    candidate list depends only on the knowledge sets, not on the order
+    their edges were given in; tol = inf drops the value constraint and
+    returns the whole knowledge-consistent family.
+
+    Raises:
+        ValueError: if lambda2_observed is not finite or tol is not
+            positive, or on bad or contradictory knowledge.
     """
     unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
     return [Graph(n=n, edges=edges) for edges in _completions(unknown, kp, bits)]
@@ -510,10 +560,15 @@ def exact_value_attack(
     """Enumerate every graph consistent with partial edge knowledge and an
     exactly published connectivity value, and summarize the disclosure.
 
-    Any unknown edge slot present in every candidate (or in none) has
-    been disclosed to the adversary outright; the remaining slots get a
-    candidate frequency. An empty candidate set means the claimed value
-    contradicts the claimed knowledge.
+    A candidate is a knowledge-consistent graph whose lambda2 lies in
+    (value - tol, value + tol], certified by index as in
+    enumerate_consistent_graphs. Any unknown edge slot present in every
+    candidate (or in none) has been disclosed to the adversary outright;
+    the remaining slots get a candidate frequency. An empty candidate set
+    means the claimed value contradicts the claimed knowledge.
+
+    Raises:
+        ValueError: if value is not finite or tol is not positive.
     """
     unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, value, tol)
     candidates = _completions(unknown, kp, bits)
@@ -568,14 +623,21 @@ def attack_under_noise(
     The adversary cannot rule out any graph whose exact value lies within
     the noise window w = b * log(1/(1 - coverage)) of the release (the
     untruncated Laplace puts at least `coverage` of its mass within w of
-    its center; truncation only concentrates it further). Whatever edges
-    are still common to every window graph remain disclosed; with a
-    properly scaled mechanism that set is typically empty.
+    its center; truncation only concentrates it further). The plausible
+    graphs are those with lambda2 in (release - w, release + w],
+    certified by index as in enumerate_consistent_graphs; a window that
+    covers all of [0, n] keeps every completion without building a
+    matrix. Whatever edges are still common to every window graph remain
+    disclosed; with a properly scaled mechanism that set is typically
+    empty.
+
+    Raises:
+        ValueError: if release_value is not finite, b is not positive and
+            finite, or coverage lies outside (0, 1).
     """
     if not (0.0 < coverage < 1.0):
         raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
-    if b <= 0.0:
-        raise ValueError(f"scale must be positive, got {b}")
+    _check_scale(b)
     w = b * math.log(1.0 / (1.0 - coverage))
     unknown, _, bits, total = _consistent_masks(n, known_present, known_absent, release_value, w)
     inferred_present, inferred_absent = _disclosed(_slot_frequencies(unknown, bits))

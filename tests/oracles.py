@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -70,6 +71,23 @@ def mp_eigenvalues(M: list[list[int]], dps: int = 40) -> np.ndarray:
     with mp.workdps(dps):
         vals = mp.eigsy(mp.matrix(M), eigvals_only=True)
         return np.sort([float(v) for v in vals])
+
+
+def eigenvalues_above(M: list[list[int]], s: Fraction) -> int:
+    """Exact count of the eigenvalues of a symmetric integer matrix above s.
+
+    The exact characteristic polynomial is Taylor-shifted to s in rational
+    arithmetic, and Descartes' rule of signs counts its positive roots,
+    which is exact for a polynomial whose roots are all real. A root at s
+    itself is a zero constant term and is not counted.
+    """
+    q = [Fraction(c) for c in charpoly_coefficients(M)]
+    d = len(q) - 1
+    for i in range(d):
+        for j in range(1, d - i + 1):
+            q[j] += s * q[j - 1]
+    signs = [c > 0 for c in q if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def laplacian_int(n: int, edges) -> list[list[int]]:

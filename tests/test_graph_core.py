@@ -203,9 +203,9 @@ class TestLaplacianBuilder:
         slots = oc.edge_slots(n)
         edge_sets = list(oc.all_edge_sets(n))
         weights = [[float(s in edges) for s in slots] for edges in edge_sets]
-        batch = laplacians(n, slots, weights)
-        assert batch.shape == (len(edge_sets), n, n)
-        for L, edges in zip(batch, edge_sets):
+        batch = laplacians(n, slots, np.transpose(weights))
+        assert batch.shape == (n, n, len(edge_sets))
+        for L, edges in zip(np.moveaxis(batch, -1, 0), edge_sets):
             single = laplacian(Graph(n=n, edges=edges))
             assert np.array_equal(L, single)
             assert L.tolist() == oc.laplacian_int(n, edges)

@@ -194,6 +194,17 @@ class TestSolveScale:
         with pytest.raises(ValueError):
             solve_scale_b(P_DEFAULT, 10.0, tol=0.0)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda: solve_scale_b(P_DEFAULT, math.nan), lambda: delta_C(1.0, 1, math.nan)],
+        ids=["solve_scale_b", "delta_C"],
+    )
+    def test_nan_width_is_bad_input_not_infeasibility(self, entry):
+        # the bisection skips normalizer_C's checks, so n is checked on entry
+        with pytest.raises(ValueError) as caught:
+            entry()
+        assert not isinstance(caught.value, InfeasibleParamsError)
+
 
 class TestBoundedLaplace:
     DIST = BoundedLaplaceDist(center=1.0, scale_b=7.39, domain_upper_n=10.0)

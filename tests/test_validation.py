@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from privconn import validation
 from privconn import (
     Graph,
     PrivacyParams,
@@ -317,3 +319,83 @@ class TestNoisyAttack:
             attack_under_noise(4, 1.0, 1.0, coverage=1.0)
         with pytest.raises(ValueError):
             attack_under_noise(4, 1.0, 1.0, coverage=0.0)
+
+
+def _window_by_oracle(n: int, v: float, tol: float) -> set:
+    """Edge sets on n nodes whose exact lambda2 lies in (v - tol, v + tol].
+
+    lambda2 > s exactly when at least n - 1 eigenvalues exceed s.
+    """
+    keep = set()
+    for edges in oc.all_edge_sets(n):
+        L = oc.laplacian_int(n, edges)
+        above = [oc.eigenvalues_above(L, Fraction(s)) for s in (v - tol, v + tol)]
+        if above[0] >= n - 1 and above[1] < n - 1:
+            keep.add(edges)
+    return keep
+
+
+class TestInertiaSelection:
+    """The window test against exact inertia counts on every small graph."""
+
+    # window ends are dyadic non-integers, so never an eigenvalue of an
+    # n <= 5 Laplacian (its rational eigenvalues are integers)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("v, tol", [(0.5, 0.25), (1.25, 0.125), (2.75, 0.5), (3.0, 1.5)])
+    def test_every_graph_at_generic_values(self, n, v, tol):
+        found = {g.edges for g in enumerate_consistent_graphs(n, (), (), v, tol)}
+        assert found == _window_by_oracle(n, v, tol)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_keeps_exactly_the_disconnected_graphs(self, n):
+        found = {g.edges for g in enumerate_consistent_graphs(n, (), (), 0.0, 1e-6)}
+        want = {e for e in oc.all_edge_sets(n) if not oc.union_find_connected(n, e)}
+        assert found == want == _window_by_oracle(n, 0.0, 1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_n_keeps_only_the_complete_graph(self, n):
+        found = [g.edges for g in enumerate_consistent_graphs(n, (), (), float(n), 1e-6)]
+        assert found == [frozenset(oc.edge_slots(n))]
+
+    def test_noisy_window_over_the_whole_range_builds_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Laplacian was built")
+
+        monkeypatch.setattr(validation, "laplacians", refuse)
+        b = solve_scale_b(P, 6.0)
+        r = attack_under_noise(6, 2.0, b, coverage=0.9)
+        assert r.window_halfwidth > 6.0
+        assert r.plausible_count == r.knowledge_consistent_count == 2 ** 15
+        # the patch is live: a narrow window has to build
+        with pytest.raises(AssertionError, match="was built"):
+            exact_value_attack(6, 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_value_attack(4, math.nan),
+        lambda: exact_value_attack(4, math.inf),
+        lambda: enumerate_consistent_graphs(4, (), (), math.nan),
+        lambda: enumerate_consistent_graphs(4, (), (), -math.inf),
+        lambda: attack_under_noise(4, math.nan, 6.8),
+        lambda: attack_under_noise(4, math.inf, 6.8),
+        lambda: attack_under_noise(4, 1.0, math.inf),
+        lambda: attack_under_noise(4, 1.0, math.nan),
+        lambda: attack_under_noise(4, 1.0, 0.0),
+    ],
+    ids=[
+        "exact-value-nan",
+        "exact-value-inf",
+        "enumerate-value-nan",
+        "enumerate-value-minus-inf",
+        "noisy-release-nan",
+        "noisy-release-inf",
+        "noisy-scale-inf",
+        "noisy-scale-nan",
+        "noisy-scale-zero",
+    ],
+)
+def test_attacks_reject_non_finite_values_and_bad_scales(call):
+    with pytest.raises(ValueError, match="must be finite|positive and finite"):
+        call()
