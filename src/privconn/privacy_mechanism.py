@@ -97,11 +97,6 @@ def normalizer_C(center: float, b: float, n: float) -> float:
     _check_scale(b)
     if not (0.0 <= center <= n):
         raise ValueError(f"center {center} outside the support [0, {n}]")
-    return _normalizer(center, b, n)
-
-
-def _normalizer(center: float, b: float, n: float) -> float:
-    """normalizer_C without its checks, for callers that made them."""
     return -0.5 * (math.expm1(-center / b) + math.expm1(-(n - center) / b))
 
 
@@ -120,20 +115,12 @@ def delta_C(b: float, A: int, n: float) -> float:
         InfeasibleParamsError: if the sensitivity 2A exceeds the support
             width n, in which case no truncated mechanism exists.
     """
-    sens = _check_sensitivity(A, n)
-    return normalizer_C(sens, b, n) / normalizer_C(0.0, b, n)
-
-
-def _check_sensitivity(A: int, n: float) -> float:
-    """The sensitivity 2A, once it is known to fit inside [0, n]."""
-    if math.isnan(n):
-        raise ValueError("support width n is NaN")
     sens = 2.0 * A
     if sens > n:
         raise InfeasibleParamsError(
             f"sensitivity 2A = {sens} exceeds the support width n = {n}"
         )
-    return sens
+    return normalizer_C(sens, b, n) / normalizer_C(0.0, b, n)
 
 
 def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> bool:
@@ -142,11 +129,9 @@ def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> bool:
     The requirement is  b >= 2A / (epsilon - log delta_C(b) - log(1 - delta))
     with a positive denominator; rearranged, b * denom >= 2A. A negative
     denominator means b is too small for the budget, never that the
-    inequality holds vacuously. delta_C is evaluated unchecked: the
-    caller has checked 2A <= n, and b is positive and finite.
+    inequality holds vacuously.
     """
-    ratio = _normalizer(2.0 * params.A, b, n) / _normalizer(0.0, b, n)
-    denom = params.epsilon - math.log(ratio) - math.log1p(-params.delta)
+    denom = params.epsilon - math.log(delta_C(b, params.A, n)) - math.log1p(-params.delta)
     return denom > 0.0 and b * denom >= 2.0 * params.A
 
 
@@ -167,7 +152,6 @@ def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    _check_sensitivity(params.A, n)
     lower, upper = 0.0, _B_HI_FACTOR * (2.0 * params.A / params.epsilon)
     if not _scale_is_feasible(upper, params, n):
         raise InfeasibleParamsError(

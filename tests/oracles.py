@@ -73,15 +73,16 @@ def mp_eigenvalues(M: list[list[int]], dps: int = 40) -> np.ndarray:
         return np.sort([float(v) for v in vals])
 
 
-def eigenvalues_above(M: list[list[int]], s: Fraction) -> int:
-    """Exact count of the eigenvalues of a symmetric integer matrix above s.
+def roots_above(coefficients: list[int], s: Fraction) -> int:
+    """Exact count of the roots above s of a real-rooted integer polynomial.
 
-    The exact characteristic polynomial is Taylor-shifted to s in rational
-    arithmetic, and Descartes' rule of signs counts its positive roots,
-    which is exact for a polynomial whose roots are all real. A root at s
-    itself is a zero constant term and is not counted.
+    The polynomial (highest power first, as charpoly_coefficients gives
+    the characteristic polynomial of a symmetric integer matrix) is
+    Taylor-shifted to s in rational arithmetic, and Descartes' rule of
+    signs counts its positive roots, which is exact when every root is
+    real. A root at s itself is a zero constant term and is not counted.
     """
-    q = [Fraction(c) for c in charpoly_coefficients(M)]
+    q = [Fraction(c) for c in coefficients]
     d = len(q) - 1
     for i in range(d):
         for j in range(1, d - i + 1):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -321,6 +322,12 @@ class TestNoisyAttack:
             attack_under_noise(4, 1.0, 1.0, coverage=0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _laplacian_charpoly(n: int, edges: frozenset) -> tuple:
+    """Exact characteristic polynomial of a graph's Laplacian, once per graph."""
+    return tuple(oc.charpoly_coefficients(oc.laplacian_int(n, edges)))
+
+
 def _window_by_oracle(n: int, v: float, tol: float) -> set:
     """Edge sets on n nodes whose exact lambda2 lies in (v - tol, v + tol].
 
@@ -328,8 +335,8 @@ def _window_by_oracle(n: int, v: float, tol: float) -> set:
     """
     keep = set()
     for edges in oc.all_edge_sets(n):
-        L = oc.laplacian_int(n, edges)
-        above = [oc.eigenvalues_above(L, Fraction(s)) for s in (v - tol, v + tol)]
+        charpoly = _laplacian_charpoly(n, edges)
+        above = [oc.roots_above(charpoly, Fraction(s)) for s in (v - tol, v + tol)]
         if above[0] >= n - 1 and above[1] < n - 1:
             keep.add(edges)
     return keep
