@@ -38,8 +38,10 @@ __all__ = [
     "privatize",
 ]
 
-# Bisection bracket for the scale solve: (0, 1e4 * (2A / epsilon)].
+# The scale solve brackets its root in (0, 1e4 * (2A / epsilon)], checking
+# the top first, and aims 1e-12 relative above 2A (see solve_scale_b).
 _B_HI_FACTOR = 1e4
+_SCALE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def delta_C(b: float, A: int, n: float) -> float:
         InfeasibleParamsError: if the sensitivity 2A exceeds the support
             width n, in which case no truncated mechanism exists.
     """
-    sens = 2.0 * A
+    sens = sensitivity_bound(A) if A else 0.0  # radius 0 shifts nothing
     if sens > n:
         raise InfeasibleParamsError(
             f"sensitivity 2A = {sens} exceeds the support width n = {n}"
@@ -123,47 +125,81 @@ def delta_C(b: float, A: int, n: float) -> float:
     return normalizer_C(sens, b, n) / normalizer_C(0.0, b, n)
 
 
-def _scale_is_feasible(b: float, params: PrivacyParams, n: float) -> bool:
-    """Whether the scale inequality holds at b.
+def _bracket_root(h, lo: float, hi: float, h_lo: float, h_hi: float, tol: float):
+    """(lo, hi), at most tol apart, around the one sign change of h.
 
-    The requirement is  b >= 2A / (epsilon - log delta_C(b) - log(1 - delta))
-    with a positive denominator; rearranged, b * denom >= 2A. A negative
-    denominator means b is too small for the budget, never that the
-    inequality holds vacuously.
+    h goes from h(lo) = h_lo < 0 to h(hi) = h_hi >= 0; the end values are
+    passed in, so either may be a limit that is never evaluated. Each
+    step is Illinois regula falsi: the secant through the ends, with the
+    value at an end kept twice in a row halved. The secant point stays at
+    least 2^-20 of the bracket inside it, since an end sitting on the root
+    to rounding would otherwise pin every later point to itself; a point
+    that still lands on an end becomes the midpoint. No step depends on
+    tol, so a tighter tol runs the same iterates further.
     """
-    denom = params.epsilon - math.log(delta_C(b, params.A, n)) - math.log1p(-params.delta)
-    return denom > 0.0 and b * denom >= 2.0 * params.A
+    moved = 0  # +1 after the low end moved, -1 after the high end moved
+    while hi - lo > tol:
+        x = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+        inset = (hi - lo) * 2.0**-20
+        x = min(max(x, lo + inset), hi - inset)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # lo and hi are adjacent floats
+                break
+        hx = h(x)
+        if hx >= 0.0:
+            hi, h_hi = x, hx
+            if moved < 0:
+                h_lo *= 0.5
+            moved = -1
+        else:
+            lo, h_lo = x, hx
+            if moved > 0:
+                h_hi *= 0.5
+            moved = 1
+    return lo, hi
 
 
 def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
     """Smallest scale b meeting the (epsilon, delta) requirement on [0, n].
 
-    The requirement is b >= g(b) for
-    g(b) = 2A / (epsilon - log delta_C(b) - log(1-delta)); b times that
-    denominator increases in b, so the feasible set is an upper ray.
-    Bisection over (0, 1e4 * (2A / epsilon)] brackets its boundary and
-    returns the upper end of the final interval: the result always
-    satisfies the inequality when substituted back, with absolute
-    accuracy tol.
+    The requirement is b >= 2A / (epsilon - log delta_C(b) - log(1 - delta))
+    with a positive denominator, that is h(b) >= 0 for
+    h(b) = b (epsilon - log delta_C(b) - log(1 - delta)) - 2A; a negative
+    denominator means b is too small, never that the inequality holds
+    vacuously. h tends to -2A as b -> 0 and changes sign once, so the
+    feasible set is an upper ray. _bracket_root narrows its boundary to a
+    bracket in (0, 1e4 * (2A / epsilon)] at most tol wide, in at most
+    about ten delta_C calls, and the bracket's feasible upper end is
+    returned: within tol of the smallest feasible scale.
+
+    h is taken against 2A (1 + 1e-12). That margin is far above the
+    rounding error of h, so the returned scale meets the inequality in
+    exact arithmetic, not just as rounded, and b moves by about 1e-12
+    relative.
 
     Raises:
+        ValueError: if tol is not positive and finite.
         InfeasibleParamsError: if the top of the bracket is infeasible
             (reported with the bracket), or if 2A > n.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    lower, upper = 0.0, _B_HI_FACTOR * (2.0 * params.A / params.epsilon)
-    if not _scale_is_feasible(upper, params, n):
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    sens = sensitivity_bound(params.A)
+    target = sens * (1.0 + _SCALE_MARGIN)
+
+    def h(b: float) -> float:
+        denom = params.epsilon - math.log(delta_C(b, params.A, n)) - math.log1p(-params.delta)
+        return b * denom - target
+
+    upper = _B_HI_FACTOR * (sens / params.epsilon)
+    h_upper = h(upper)
+    if not h_upper >= 0.0:
         raise InfeasibleParamsError(
             f"no feasible scale in (0, {upper:g}] for {params} on [0, {n}]"
         )
-    while upper - lower > tol:
-        mid = 0.5 * (upper + lower)
-        if _scale_is_feasible(mid, params, n):
-            upper = mid
-        else:
-            lower = mid
-    return upper
+    # h(0) = -target is a limit: delta_C is never evaluated at b = 0
+    return _bracket_root(h, 0.0, upper, -target, h_upper, tol)[1]
 
 
 @dataclass(frozen=True)

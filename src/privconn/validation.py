@@ -48,7 +48,13 @@ import numpy as np
 
 from .consensus_analysis import RateErrorQuery, concentration_bound, expected_rate_error
 from .graph_core import Graph, laplacians, spectrum
-from .privacy_mechanism import BoundedLaplaceDist, PrivacyParams, _check_scale, solve_scale_b
+from .privacy_mechanism import (
+    BoundedLaplaceDist,
+    PrivacyParams,
+    _check_scale,
+    sensitivity_bound,
+    solve_scale_b,
+)
 from .property_bounds import expected_inv_sqrt_lambda2, expected_lambda2
 
 __all__ = [
@@ -112,13 +118,11 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
     """
     if not 2 <= n <= _MAX_SENSITIVITY_N:
         raise ValueError(f"exhaustive sensitivity audit supports 2 <= n <= {_MAX_SENSITIVITY_N}")
-    if A < 1:
-        raise ValueError(f"adjacency radius must be >= 1, got {A}")
+    bound = sensitivity_bound(A)
     slots = _edge_slots(n)
     Ls = _completion_laplacians(n, slots, frozenset())
     lam2 = np.linalg.eigvalsh(np.moveaxis(Ls, -1, 0))[:, 1]
     m = len(slots)
-    bound = 2.0 * A
     idx = np.arange(1 << m)
     observed = 0.0
     worst = (0, 0)

@@ -176,6 +176,23 @@ class TestPrivatize:
         proc = self._python(script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_report_commands_do_not_load_scipy_optimize(self):
+        # the scale and base searches use the package's own root-finder;
+        # importing scipy.optimize would add about 0.23 s to every command
+        script = (
+            "import sys, privconn.cli\n"
+            "for argv in (\n"
+            "    ['consensus', '--lambda2', '3.0', '--n', '40'],\n"
+            "    ['bounds', '--lambda2', '3.0', '--n', '40'],\n"
+            "    ['bounds', '--lambda2', '3.0', '--n', '40', '--sweep-eps', '0.1:2:20'],\n"
+            "    ['solve-b', '--n', '40'],\n"
+            "):\n"
+            "    assert privconn.cli.main(argv) == 0, argv\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        proc = self._python(script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_sparse_release_repeats_across_interpreters(self, capsys, tmp_path):
         # the 2048-node cycle takes the sparse route; its fixed start vector
         # and restart generator make every process release the same value

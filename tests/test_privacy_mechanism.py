@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from privconn import (
@@ -14,6 +16,7 @@ from privconn import (
     expected_bounds,
     expected_lambda2,
     normalizer_C,
+    privacy_mechanism,
     privatize,
     sensitivity_bound,
     solve_scale_b,
@@ -154,8 +157,8 @@ class TestSolveScale:
     def test_feasible_and_minimal(self, params, n):
         b = solve_scale_b(params, n)
         assert _feasible_direct(b, params, n)
-        # bisection tolerance is 1e-6 and the upper end is returned, so
-        # two tolerances below must already be infeasible
+        # the bracket is at most 1e-6 wide and its upper end is returned,
+        # so two tolerances below must already be infeasible
         assert not _feasible_direct(b - 2e-6, params, n)
 
     def test_agrees_with_brentq_root(self):
@@ -191,8 +194,31 @@ class TestSolveScale:
         assert coarse - fine <= 1e-6
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_scale_b(P_DEFAULT, 10.0, tol=0.0)
+        # a NaN or infinite tol would end the search at the bracket top
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_scale_b(P_DEFAULT, 10.0, tol=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(0.05, 5.0),
+        delta=st.floats(1e-6, 0.5),
+        A=st.sampled_from([1, 2, 3]),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_feasible_minimal_and_quick_over_budgets(self, eps, delta, A, u):
+        """Over budgets and n log-spaced in [2A, 1e6]: the result is
+        feasible, one tolerance below it is not, and the solve makes at
+        most 12 delta_C calls, where bisection makes about 37."""
+        params = PrivacyParams(epsilon=eps, delta=delta, A=A)
+        n = 2.0 * A * (1e6 / (2.0 * A)) ** u
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(privacy_mechanism, "delta_C", lambda *a: calls.append(a) or delta_C(*a))
+            b = solve_scale_b(params, n)
+        assert len(calls) <= 12
+        assert _feasible_direct(b, params, n)
+        assert not _feasible_direct(b - 1e-6, params, n)
 
     def test_tiny_budget_is_bad_input(self):
         # the bracket's upper end 1e4 * 2A / epsilon overflows to inf

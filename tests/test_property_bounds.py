@@ -16,6 +16,7 @@ from privconn import (
     optimize_alpha,
     spectrum,
 )
+from privconn.property_bounds import _mean_distance_upper, _rho_slope
 
 import oracles as oc
 
@@ -177,6 +178,46 @@ class TestAlphaOptimizer:
         stars.add(expected_bounds(1.0, 7.39, 8.0, 10).alpha_d)
         assert len(stars) == 1
         assert stars.pop() == pytest.approx(6.786993, abs=1e-6)
+
+
+class TestBaseSearchAssumption:
+    """The mean-distance base is the sign change of _rho_slope, found by a
+    root-finder that assumes one sign change, from - to +, over
+    [1 + 1e-6, 1e3]. No proof covers every (S, n), so check it on a grid."""
+
+    SPREADS = np.geomspace(1e-3, 1e5, 300)
+    NODES = (2, 3, 10, 10**3, 10**6, 10**9)
+    ALPHAS = np.geomspace(1.0 + 1e-6, 1e3, 20001)
+
+    def test_slope_changes_sign_at_most_once_from_below(self):
+        # _rho_slope written out again with numpy, from
+        # K = sqrt((alpha^2 - 1) / (4 alpha)), K' = (alpha^2 + 1) / (8 alpha^2 K)
+        alpha = self.ALPHAS
+        K = np.sqrt((alpha * alpha - 1.0) / (4.0 * alpha))
+        ln_alpha = np.log(alpha)
+        dK_alpha_ln = (alpha * alpha + 1.0) / (8.0 * alpha * alpha * K) * alpha * ln_alpha
+        probe = slice(None, None, 2000)
+        for n in self.NODES:
+            ell = math.log(n / 2.0)
+            for S in self.SPREADS:
+                slope = S * dK_alpha_ln * (ln_alpha / 2.0 + ell) - (S * K + 1.0) * ell
+                rising = (slope >= 0.0).astype(np.int8)
+                assert (np.diff(rising) >= 0).all(), (S, n)
+                got = [_rho_slope(float(a), float(S), ell) for a in alpha[probe]]
+                assert got == pytest.approx(slope[probe], rel=1e-12, abs=1e-12 * ell), (S, n)
+
+    def test_slope_sign_matches_a_central_difference(self):
+        for n in self.NODES:
+            ell = math.log(n / 2.0)
+            for S in self.SPREADS[::10]:
+                S = float(S)
+                for alpha in np.geomspace(1.0 + 1e-5, 1e3, 40):
+                    alpha, h = float(alpha), 1e-6 * float(alpha)
+                    upper = _mean_distance_upper(S, n, alpha)
+                    diff = _mean_distance_upper(S, n, alpha + h) - _mean_distance_upper(S, n, alpha - h)
+                    if abs(diff) <= 1e-11 * upper:
+                        continue  # rounding noise decides the sign
+                    assert (diff > 0.0) == (_rho_slope(alpha, S, ell) > 0.0), (S, n, alpha)
 
 
 class TestExpectedMoments:
