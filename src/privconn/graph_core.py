@@ -414,7 +414,9 @@ def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.nd
         )
     L = laplacian(graph)
     try:
-        w = np.linalg.eigvalsh(L)
+        # L is exactly symmetric, so L.T is L in column order: numpy hands
+        # it to LAPACK with a contiguous copy instead of a transposing one
+        w = np.linalg.eigvalsh(L.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     s = float(w[-1]) + 1.0
@@ -555,7 +557,9 @@ def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:
     """Whether M - shift I, with diag the diagonal of M, has a Cholesky factor."""
     np.fill_diagonal(M, diag - shift)
     try:
-        np.linalg.cholesky(M)
+        # M is exactly symmetric; its transpose is the column-major view
+        # LAPACK takes without a transposing copy (see _dense_eigenvalues)
+        np.linalg.cholesky(M.T)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -17,6 +17,17 @@ Four audits:
     the planning operations (draw, its inverse square root, the rate
     error at t = 1).
 
+The sampled audits draw in blocks of 2^15 from one generator and keep
+only what they sum: histogram counts, exceedance counts, and a running
+mean and sum of squared deviations per quantity, merged block by block
+as in Chan, Golub & LeVeque ("Algorithms for computing the sample
+variance", 1983). Their memory is O(block) whatever the number of
+trials. Generator.random fills consecutive blocks from the stream a
+one-shot call would read, so the draws are a one-shot draw's, cut into
+pieces, unless rng.random returns exactly 0.0 (probability 2^-53 per
+draw): sample redraws such zeros at the end of their block, so the
+stream shifts from there on.
+
 The attack side shows why the noise is needed: enumerate_consistent_graphs
 lists every graph consistent with partial edge knowledge and a published
 connectivity value; exact_value_attack reports which edges that pins
@@ -35,7 +46,10 @@ v + tol >= n (no Laplacian eigenvalue exceeds n), and with both skipped
 no matrix is built. At n <= 6, ||M|| <= n + 1 = 7, so the
 factorization's backward error, about 1e-14, is far below any tolerance
 worth asking for: the selection is certified by index up to that error,
-with no computed eigenvalue involved.
+with no computed eigenvalue involved. The completions are tested in
+blocks of 2^12 that differ only in their low 12 slots, whose Laplacians
+are built once; a block adds the Laplacian of its shared high slots.
+Only the kept completions are counted and recorded.
 """
 
 from __future__ import annotations
@@ -47,7 +61,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus_analysis import RateErrorQuery, concentration_bound, expected_rate_error
-from .graph_core import Graph, laplacians, spectrum
+# spectrum is unused here; bench/tracer.py rebinds validation.spectrum
+from .graph_core import Graph, algebraic_connectivity, laplacians, spectrum  # noqa: F401
 from .privacy_mechanism import (
     BoundedLaplaceDist,
     PrivacyParams,
@@ -74,6 +89,11 @@ __all__ = [
 # is kept one node smaller than the plain enumerations.
 _MAX_SENSITIVITY_N = 5
 _MAX_ENUMERATION_N = 6
+# Draws per block of the sampled audits, and the log2 of the completions
+# per block of the attacks' inertia tests. Each bounds what a block
+# allocates, and each was as fast as one shot or faster in process.
+_DRAW_BLOCK = 1 << 15
+_MASK_BLOCK_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -107,6 +127,12 @@ def _edge_slots(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
+def _draws(dist: BoundedLaplaceDist, rng: np.random.Generator, count: int):
+    """count draws from dist, in blocks of at most _DRAW_BLOCK."""
+    for start in range(0, count, _DRAW_BLOCK):
+        yield dist.sample(rng, size=min(_DRAW_BLOCK, count - start))
+
+
 def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
     """Exhaustively confirm |lambda2(G) - lambda2(G')| <= 2A over all
     pairs of n-node graphs differing in at most A edges.
@@ -120,10 +146,10 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
         raise ValueError(f"exhaustive sensitivity audit supports 2 <= n <= {_MAX_SENSITIVITY_N}")
     bound = sensitivity_bound(A)
     slots = _edge_slots(n)
-    Ls = _completion_laplacians(n, slots, frozenset())
-    lam2 = np.linalg.eigvalsh(np.moveaxis(Ls, -1, 0))[:, 1]
     m = len(slots)
     idx = np.arange(1 << m)
+    Ls = _completion_laplacians(n, slots, frozenset(), idx)
+    lam2 = np.linalg.eigvalsh(np.moveaxis(Ls, -1, 0))[:, 1]
     observed = 0.0
     worst = (0, 0)
     compared = 0
@@ -165,9 +191,9 @@ def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
 
 
 def _lambda2_of_edges(n: int, edges: frozenset) -> float:
-    # spectrum's lambda2 is certified by index and snapped onto [0, n],
-    # which the sampler's domain check insists on
-    return spectrum(Graph(n=n, edges=edges)).lambda2
+    # lambda2 is certified by index and snapped onto [0, n], which the
+    # sampler's domain check insists on
+    return algebraic_connectivity(Graph(n=n, edges=edges))
 
 
 def _adjacent_pairs(n: int, A: int, pairs: int, rng: np.random.Generator):
@@ -224,7 +250,9 @@ def audit_dp(
 
     For each pair the release law is estimated with samples_per_graph
     draws per graph on a `bins`-bin histogram over [0, n], and the best
-    separating event is scored in both directions. scale_factor
+    separating event is scored in both directions. The counts are summed
+    over blocks of draws (see the module docstring), so memory does not
+    grow with samples_per_graph. scale_factor
     multiplies the solved scale: 1.0 audits the mechanism as shipped,
     values below 1 build the negative control the audit is expected to
     catch.
@@ -252,8 +280,9 @@ def audit_dp(
         hists = []
         for center, rng in zip((c_g, c_h), sample_rngs):
             dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=float(n))
-            draws = dist.sample(rng, size=samples_per_graph)
-            counts, _ = np.histogram(draws, bins=edges)
+            counts = sum(
+                np.histogram(draws, bins=edges)[0] for draws in _draws(dist, rng, samples_per_graph)
+            )
             hists.append(counts / samples_per_graph)
         fwd = _distinguish(hists[0], hists[1], params.epsilon, params.delta, samples_per_graph)
         rev = _distinguish(hists[1], hists[0], params.epsilon, params.delta, samples_per_graph)
@@ -298,9 +327,10 @@ def audit_concentration(
     P(|exp(-X t) - exp(-lambda2 t)| >= a) over fresh draws of X is
     compared with the Markov bound; the violation subtracts three
     binomial standard errors, so positive means the certificate is wrong,
-    not unlucky. details carries the full curve, including the certified
-    success floor 1 - bound (negative where the bound is vacuous;
-    reported as computed).
+    not unlucky. The exceedances are counted over blocks of draws (see
+    the module docstring). details carries the full curve, including the
+    certified success floor 1 - bound (negative where the bound is
+    vacuous; reported as computed).
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 draws per grid point")
@@ -316,9 +346,12 @@ def audit_concentration(
     rows = []
     worst = -math.inf
     for t in t_arr:
-        draws = dist.sample(rng, size=trials)
-        gaps = np.abs(np.exp(-draws * t) - math.exp(-lambda2 * t))
-        p_hat = float((gaps >= a).mean())
+        flat = math.exp(-lambda2 * t)
+        exceed = sum(
+            int(np.count_nonzero(np.abs(np.exp(-draws * t) - flat) >= a))
+            for draws in _draws(dist, rng, trials)
+        )
+        p_hat = exceed / trials
         bound = concentration_bound(RateErrorQuery(t=float(t), a=a), lambda2, b, float(n)).bound
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
         violation = p_hat - bound - 3.0 * sigma
@@ -356,30 +389,39 @@ def audit_expectations(
 ) -> AuditReport:
     """Monte-Carlo check of the closed-form means the planner relies on.
 
-    One batch of draws feeds three comparisons: the mean draw, the mean
+    One stream of draws feeds three comparisons: the mean draw, the mean
     inverse square root, and the mean absolute rate error at t = 1, each
-    against its closed form with a three-standard-error allowance.
+    against its closed form with a three-standard-error allowance. Each
+    quantity keeps a running mean and sum of squared deviations, merged
+    block by block by Chan's update, so memory does not grow with trials;
+    the mean and standard error agree with numpy's one-shot mean and
+    std(ddof=1) to rounding (a few 1e-16 relative).
     """
     if trials < 1_000_000:
         raise ValueError("need at least 1e6 draws to resolve the means")
     dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = dist.sample(rng, size=trials)
     t_probe = 1.0
+    flat = math.exp(-lambda2 * t_probe)
+    count, mean, m2 = 0, np.zeros(3), np.zeros(3)
+    for draws in _draws(dist, rng, trials):
+        samples = np.stack([draws, 1.0 / np.sqrt(draws), np.abs(np.exp(-draws * t_probe) - flat)])
+        size = samples.shape[1]
+        block_mean = samples.mean(axis=1)
+        shift = block_mean - mean
+        count += size
+        mean += shift * (size / count)
+        block_m2 = ((samples - block_mean[:, None]) ** 2).sum(axis=1)
+        m2 += block_m2 + shift**2 * ((count - size) * size / count)
     quantities = [
-        ("mean_draw", draws, expected_lambda2(lambda2, b, float(n))),
-        ("mean_inv_sqrt", 1.0 / np.sqrt(draws), expected_inv_sqrt_lambda2(lambda2, b, float(n))),
-        (
-            "mean_rate_error_at_t1",
-            np.abs(np.exp(-draws * t_probe) - math.exp(-lambda2 * t_probe)),
-            float(expected_rate_error(t_probe, lambda2, b, float(n))),
-        ),
+        ("mean_draw", expected_lambda2(lambda2, b, float(n))),
+        ("mean_inv_sqrt", expected_inv_sqrt_lambda2(lambda2, b, float(n))),
+        ("mean_rate_error_at_t1", float(expected_rate_error(t_probe, lambda2, b, float(n)))),
     ]
     rows = []
     worst = -math.inf
-    for name, samples, closed in quantities:
-        mc = float(samples.mean())
-        se = float(samples.std(ddof=1)) / math.sqrt(trials)
+    for (name, closed), mc, ss in zip(quantities, mean.tolist(), m2.tolist()):
+        se = math.sqrt(ss / (trials - 1)) / math.sqrt(trials)
         violation = abs(mc - closed) - 3.0 * se
         worst = max(worst, violation)
         rows.append(
@@ -411,15 +453,17 @@ def _normalize_known(n: int, edges) -> frozenset:
 
 
 def _mask_bits(masks: np.ndarray, k: int) -> np.ndarray:
-    """Row i holds the k slot bits of masks[i], lowest slot first; uint8
-    keeps the 2^k-row matrix an eighth of the size of int64."""
+    """Row i holds the k slot bits of masks[i], lowest slot first, as uint8."""
     return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
 
 
-def _completion_laplacians(n: int, unknown: list, known_present: frozenset) -> np.ndarray:
-    """Laplacians of every completion, shape (n, n, 2^k), batch axis last.
+def _completion_laplacians(
+    n: int, unknown: list, known_present: frozenset, masks: np.ndarray
+) -> np.ndarray:
+    """Laplacians of the completions numbered by masks, shape
+    (n, n, len(masks)), batch axis last.
 
-    Member i has unknown[j] exactly when bit j of i is set, plus every
+    Completion i has unknown[j] exactly when bit j of i is set, plus every
     known-present edge; with no knowledge that is every graph on n
     labelled nodes.
     """
@@ -427,7 +471,7 @@ def _completion_laplacians(n: int, unknown: list, known_present: frozenset) -> n
     # known-present edges are slots whose bit is set in every completion
     pairs = unknown + list(known_present)
     always = ((1 << len(known_present)) - 1) << k
-    return laplacians(n, pairs, _mask_bits(np.arange(1 << k) | always, len(pairs)).T)
+    return laplacians(n, pairs, _mask_bits(masks | always, len(pairs)).T)
 
 
 def _cholesky_succeeds(M: np.ndarray, shift: float) -> np.ndarray:
@@ -453,13 +497,17 @@ def _cholesky_succeeds(M: np.ndarray, shift: float) -> np.ndarray:
 
 def _consistent_masks(
     n: int, known_present, known_absent, lambda2_observed: float, tol: float
-) -> tuple[list[tuple[int, int]], frozenset, np.ndarray, int]:
-    """(unknown slots, known-present edges, slot bits of each completion
-    whose lambda2 lies in (v - tol, v + tol], completions enumerated).
+) -> tuple[list[tuple[int, int]], frozenset, np.ndarray, np.ndarray, int]:
+    """(unknown slots, known-present edges, the numbers of the completions
+    whose lambda2 lies in (v - tol, v + tol], how many of those contain
+    each unknown slot, completions enumerated).
 
-    The window is decided by two inertia tests (see the module
-    docstring), each skipped where the spectrum's range [0, n] already
-    settles it.
+    Completion i holds unknown[j] exactly when bit j of i is set. The
+    window is decided by two inertia tests (see the module docstring),
+    each skipped where the spectrum's range [0, n] already settles it.
+    The completions are tested and counted in blocks of 2^12 that share
+    their high bits, so memory is O(block) plus 8 bytes per kept
+    completion, and no 2^k-row matrix is built.
     """
     if not 2 <= n <= _MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supports 2 <= n <= {_MAX_ENUMERATION_N}")
@@ -474,27 +522,45 @@ def _consistent_masks(
     unknown = [s for s in _edge_slots(n) if s not in kp and s not in ka]
     k = len(unknown)
     lower, upper = lambda2_observed - tol, lambda2_observed + tol
-    keep = np.ones(1 << k, dtype=bool)
-    if lower > 0.0 or upper < n:
-        # M = L + ((n + 1)/n) 11^T: its least eigenvalue is lambda2
-        M = _completion_laplacians(n, unknown, kp)
-        M += (n + 1) / n
-        if lower > 0.0:
-            keep &= _cholesky_succeeds(M, lower)
-        if upper < n:
-            keep &= ~_cholesky_succeeds(M, upper)
-    return unknown, kp, _mask_bits(np.flatnonzero(keep), k), 1 << k
+    test = lower > 0.0 or upper < n
+    low = min(k, _MASK_BLOCK_BITS)
+    if test:
+        # a Laplacian is the sum of its edges' Laplacians, so completion
+        # (high << low) | j has the j-th of these plus one per block
+        low_laplacians = _completion_laplacians(n, unknown[:low], frozenset(), np.arange(1 << low))
+        M = np.empty_like(low_laplacians)
+    kept = []
+    slot_counts = np.zeros(k, dtype=np.int64)
+    for high in range(1 << (k - low)):
+        masks = np.arange(high << low, (high + 1) << low)
+        if test:
+            # M = L + ((n + 1)/n) 11^T: its least eigenvalue is lambda2; L
+            # is integral, so each entry is rounded once, as in one shot
+            high_laplacian = _completion_laplacians(n, unknown[low:], kp, np.array([high]))
+            np.add(low_laplacians, high_laplacian, out=M)
+            M += (n + 1) / n
+            keep = np.ones(len(masks), dtype=bool)
+            if lower > 0.0:
+                keep &= _cholesky_succeeds(M, lower)
+            if upper < n:
+                keep &= ~_cholesky_succeeds(M, upper)
+            masks = masks[keep]
+        kept.append(masks)
+        slot_counts += _mask_bits(masks, k).sum(0, dtype=np.int64)
+    return unknown, kp, np.concatenate(kept), slot_counts, 1 << k
 
 
-def _completions(unknown, kp: frozenset, bits: np.ndarray) -> list[frozenset]:
+def _completions(unknown, kp: frozenset, masks: np.ndarray) -> list[frozenset]:
+    bits = _mask_bits(masks, len(unknown))
     return [kp | {slot for slot, bit in zip(unknown, row) if bit} for row in bits.tolist()]
 
 
-def _slot_frequencies(unknown, bits: np.ndarray) -> dict:
-    """Share of the candidates containing each unknown slot (nan if none)."""
-    if not len(bits):
+def _slot_frequencies(unknown, slot_counts: np.ndarray, kept: int) -> dict:
+    """Share of the kept completions containing each unknown slot (nan if
+    none is kept)."""
+    if not kept:
         return dict.fromkeys(unknown, math.nan)
-    return dict(zip(unknown, bits.mean(0).tolist()))
+    return dict(zip(unknown, (slot_counts / kept).tolist()))
 
 
 def _disclosed(freqs: dict) -> tuple[tuple, tuple]:
@@ -524,8 +590,8 @@ def enumerate_consistent_graphs(
         ValueError: if lambda2_observed is not finite or tol is not
             positive, or on bad or contradictory knowledge.
     """
-    unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
-    return [Graph(n=n, edges=edges) for edges in _completions(unknown, kp, bits)]
+    unknown, kp, masks, _, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
+    return [Graph(n=n, edges=edges) for edges in _completions(unknown, kp, masks)]
 
 
 @dataclass(frozen=True)
@@ -574,9 +640,9 @@ def exact_value_attack(
     Raises:
         ValueError: if value is not finite or tol is not positive.
     """
-    unknown, kp, bits, _ = _consistent_masks(n, known_present, known_absent, value, tol)
-    candidates = _completions(unknown, kp, bits)
-    freqs = _slot_frequencies(unknown, bits)
+    unknown, kp, masks, slot_counts, _ = _consistent_masks(n, known_present, known_absent, value, tol)
+    candidates = _completions(unknown, kp, masks)
+    freqs = _slot_frequencies(unknown, slot_counts, len(masks))
     inferred_present, inferred_absent = _disclosed(freqs)
     return AttackResult(
         n=n,
@@ -643,13 +709,15 @@ def attack_under_noise(
         raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
     _check_scale(b)
     w = b * math.log(1.0 / (1.0 - coverage))
-    unknown, _, bits, total = _consistent_masks(n, known_present, known_absent, release_value, w)
-    inferred_present, inferred_absent = _disclosed(_slot_frequencies(unknown, bits))
+    unknown, _, masks, slot_counts, total = _consistent_masks(
+        n, known_present, known_absent, release_value, w
+    )
+    inferred_present, inferred_absent = _disclosed(_slot_frequencies(unknown, slot_counts, len(masks)))
     return NoisyAttackResult(
         n=n,
         release_value=release_value,
         window_halfwidth=w,
-        plausible_count=len(bits),
+        plausible_count=len(masks),
         knowledge_consistent_count=total,
         inferred_present=inferred_present,
         inferred_absent=inferred_absent,

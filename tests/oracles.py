@@ -306,3 +306,53 @@ def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> fl
         return float(
             mp.quad(lambda x: func(x) * mp.exp(-abs(x - c) / bb) / (2 * bb * C), nodes)
         )
+
+
+def one_shot_counts(dist, rng, count: int, edges) -> np.ndarray:
+    """Histogram counts of count draws taken in a single sample call."""
+    return np.histogram(dist.sample(rng, size=count), bins=edges)[0]
+
+
+def one_shot_mean_and_error(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error of the mean from numpy's mean and
+    std(ddof=1) over the whole array at once."""
+    return float(samples.mean()), float(samples.std(ddof=1)) / math.sqrt(samples.size)
+
+
+def window_picks(n: int, unknown, known_present, lower: float, upper: float) -> np.ndarray:
+    """Whether each completion's lambda2 lies in (lower, upper], by inertia.
+
+    Completion i holds unknown[j] exactly when bit j of i is set, plus
+    every known-present edge. Its Laplacian is built on its own, batch axis
+    first, and M = L + ((n + 1)/n) 11^T (least eigenvalue lambda2) is tested
+    by Sylvester's criterion: M - s I is positive definite iff all its
+    leading principal minors are positive, each minor an LU determinant
+    (the larger ones only where the smaller were positive).
+    The test at lower is skipped when lower <= 0 and the one at upper when
+    upper >= n, as the spectrum lies in [0, n].
+    """
+    k = len(unknown)
+    ids = np.arange(1 << k)
+    L = np.zeros((1 << k, n, n))
+    for j, (u, v) in enumerate([*unknown, *known_present]):
+        w = ((ids >> j) & 1).astype(float) if j < k else np.ones(1 << k)
+        L[:, u, v] -= w
+        L[:, v, u] -= w
+        L[:, u, u] += w
+        L[:, v, v] += w
+    M = L + (n + 1) / n
+
+    def positive_definite(s: float, members: np.ndarray) -> np.ndarray:
+        shifted = M[members] - s * np.eye(n)
+        ok = np.ones(len(members), dtype=bool)
+        for d in range(1, n + 1):
+            live = np.flatnonzero(ok)
+            ok[live] = np.linalg.det(shifted[live, :d, :d]) > 0.0
+        return ok
+
+    keep = np.ones(1 << k, dtype=bool)
+    if lower > 0.0:
+        keep = positive_definite(lower, ids)
+    if upper < n:
+        keep[keep] = ~positive_definite(upper, ids[keep])
+    return keep

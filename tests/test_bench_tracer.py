@@ -30,10 +30,16 @@ def test_tracer_rebinds_and_restores_every_pinned_name():
     try:
         for (path, attr), fn in pinned.items():
             assert getattr(tracer._owner(pc, path), attr) is not fn, (path, attr)
-        # validation calls spectrum through its own module's binding
+        # validation's lambda2 is algebraic_connectivity's dense route, not
+        # spectrum: no lambda_n certificate, but the Laplacian is traced
         assert abs(pc.validation._lambda2_of_edges(3, {(0, 1), (1, 2)}) - 1.0) <= 1e-9
-        assert [span[0] for span in t.spans] == ["graph_core.spectrum", "graph_core.laplacian"]
+        assert [span[0] for span in t.spans] == ["graph_core.laplacian"]
+        pc.validation.spectrum(pc.graph_core.Graph(n=3, edges={(0, 1), (1, 2)}))
         assert t.counts["graph_core.eigensolve_n_max"] == 3
+        # the attack rebound in validation records its span and its hook
+        pc.validation.attack_under_noise(3, 1.0, 1.0)
+        assert t.spans[-1][0] == "validation.attack_under_noise"
+        assert t.counts["validation.graphs_enumerated"] == 8
     finally:
         t.remove()
     for (path, attr), fn in pinned.items():

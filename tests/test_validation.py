@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,10 @@ import pytest
 
 from privconn import validation
 from privconn import (
+    AttackResult,
+    BoundedLaplaceDist,
     Graph,
+    NoisyAttackResult,
     PrivacyParams,
     attack_under_noise,
     audit_concentration,
@@ -406,3 +411,153 @@ class TestInertiaSelection:
 def test_attacks_reject_non_finite_values_and_bad_scales(call):
     with pytest.raises(ValueError, match="must be finite|positive and finite"):
         call()
+
+
+class TestBlocksMatchOneShot:
+    """The block loops against one-shot references: summed counts exactly,
+    running moments to rounding, and the attacks' picks exactly."""
+
+    # several blocks of draws, the last one short
+    N = 100_003
+
+    def test_dp_histograms_equal_one_shot(self, monkeypatch):
+        assert self.N > validation._DRAW_BLOCK and self.N % validation._DRAW_BLOCK
+        n, bins, seed = 4, 50, 7
+        seen = []
+        distinguish = validation._distinguish
+
+        def spy(p_hat, q_hat, *args):
+            seen.append((p_hat, q_hat))
+            return distinguish(p_hat, q_hat, *args)
+
+        monkeypatch.setattr(validation, "_distinguish", spy)
+        audit_dp(n, P, pairs=2, samples_per_graph=self.N, bins=bins, seed=seed)
+        b = solve_scale_b(P, float(n))
+        root = np.random.SeedSequence(seed)
+        pair_rng = np.random.default_rng(root.spawn(1)[0])
+        edges = np.linspace(0.0, float(n), bins + 1)
+        want = []
+        for pair in validation._adjacent_pairs(n, P.A, 2, pair_rng):
+            rngs = [np.random.default_rng(s) for s in root.spawn(2)]
+            dists = [BoundedLaplaceDist(validation._lambda2_of_edges(n, e), b, float(n)) for e in pair]
+            p, q = (oc.one_shot_counts(d, rng, self.N, edges) / self.N for d, rng in zip(dists, rngs))
+            want += [(p, q), (q, p)]
+        assert len(seen) == len(want) == 10
+        for (p, q), (p_want, q_want) in zip(seen, want):
+            assert np.array_equal(p, p_want) and np.array_equal(q, q_want)
+
+    def test_concentration_frequencies_equal_one_shot(self):
+        lam, b, n, a, seed = 1.0, 7.39, 10.0, 0.2, 5
+        grid = [1.0, 7.5, 40.0]
+        r = audit_concentration(lam, b, n, grid, a, trials=self.N, seed=seed)
+        dist = BoundedLaplaceDist(lam, b, n)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want = []
+        for t in grid:
+            draws = dist.sample(rng, size=self.N)
+            want.append(float((np.abs(np.exp(-draws * t) - math.exp(-lam * t)) >= a).mean()))
+        assert [row["empirical"] for row in r.details["grid"]] == want
+
+    def test_expectations_match_one_shot_moments(self):
+        lam, b, n, seed, trials = 1.0, 7.39, 10.0, 4, 1_000_003
+        r = audit_expectations(lam, b, n, trials=trials, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        draws = BoundedLaplaceDist(lam, b, n).sample(rng, size=trials)
+        samples = [draws, 1.0 / np.sqrt(draws), np.abs(np.exp(-draws) - math.exp(-lam))]
+        for row, x in zip(r.details["quantities"], samples):
+            mc, se = oc.one_shot_mean_and_error(x)
+            assert row["monte_carlo"] == pytest.approx(mc, rel=1e-12, abs=0.0)
+            assert row["std_error"] == pytest.approx(se, rel=1e-12, abs=0.0)
+            # a difference of the two: its error is relative to their sizes
+            violation = abs(mc - row["closed_form"]) - 3.0 * se
+            assert abs(row["violation"] - violation) <= 1e-12 * (abs(mc) + 3.0 * se)
+
+    @staticmethod
+    def _kept(unknown, picks):
+        """Kept completion numbers, their unknown-slot bits, each unknown
+        slot's share of them (nan if none is kept), and the slots in every
+        kept completion and in none."""
+        kept = np.flatnonzero(picks)
+        bits = (kept[:, None] >> np.arange(len(unknown))) & 1
+        freqs = bits.sum(0) / len(kept) if len(kept) else np.full(len(unknown), math.nan)
+        freqs = dict(zip(unknown, freqs.tolist()))
+        present = tuple(s for s, f in freqs.items() if f == 1.0)
+        absent = tuple(s for s, f in freqs.items() if f == 0.0)
+        return kept, bits, freqs, present, absent
+
+    def test_attacks_equal_per_completion_picks(self):
+        n = 6
+        slots = oc.edge_slots(n)
+        rng = np.random.default_rng(17)
+        for case in range(200):
+            k = case % 15 + 1
+            truth = {s for s in slots if rng.random() < 0.5}
+            hidden = {slots[j] for j in rng.choice(len(slots), size=k, replace=False)}
+            unknown = [s for s in slots if s in hidden]
+            kp = [s for s in slots if s not in hidden and s in truth]
+            ka = [s for s in slots if s not in hidden and s not in truth]
+            value = float(np.linalg.eigvalsh(np.array(oc.laplacian_int(n, truth), dtype=float))[1])
+            tol = 1e-6
+            kept, bits, freqs, present, absent = self._kept(
+                unknown, oc.window_picks(n, unknown, kp, value - tol, value + tol)
+            )
+            candidates = [
+                frozenset(kp) | {s for s, bit in zip(unknown, row) if bit} for row in bits.tolist()
+            ]
+            want = AttackResult(
+                n=n, value=value, tol=tol, candidate_count=len(kept),
+                inferred_present=present, inferred_absent=absent, edge_frequencies=freqs,
+                candidates=tuple(candidates),
+            )
+            got = exact_value_attack(n, value, kp, ka, tol=tol)
+            assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), case
+            b = math.exp(rng.uniform(math.log(0.02), math.log(3.0)))
+            release = rng.uniform(-0.5, n + 0.5)
+            w = b * math.log(10.0)
+            kept, _, _, present, absent = self._kept(
+                unknown, oc.window_picks(n, unknown, kp, release - w, release + w)
+            )
+            want = NoisyAttackResult(
+                n=n, release_value=release, window_halfwidth=w, plausible_count=len(kept),
+                knowledge_consistent_count=1 << k, inferred_present=present, inferred_absent=absent,
+            )
+            got = attack_under_noise(n, release, b, coverage=0.9, known_present=kp, known_absent=ka)
+            assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), case
+
+
+class TestMemoryIsBounded:
+    """Traced peaks do not grow with the draws or the completions: the audits
+    and the attacks hold one block at a time."""
+
+    BUDGET = 8 * 2**20
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_expectations_peak_does_not_grow_with_trials(self):
+        def run(trials):
+            return audit_expectations(1.0, 7.39, 10.0, trials=trials)
+
+        run(1_000_000)  # first-call caches are not the audit's memory
+        small = self._peak(lambda: run(1_000_000))
+        large = self._peak(lambda: run(4_000_000))
+        assert large <= small + 8 * validation._DRAW_BLOCK
+
+    def test_dp_audit_at_a_million_draws_per_graph(self):
+        audit_dp(4, P, pairs=0, samples_per_graph=100_000)
+        assert self._peak(lambda: audit_dp(4, P, pairs=0, samples_per_graph=1_000_000)) <= self.BUDGET
+
+    @pytest.mark.parametrize(
+        "attack",
+        [lambda: exact_value_attack(6, 2.0), lambda: attack_under_noise(6, 2.0, 0.5)],
+        ids=["exact", "noisy"],
+    )
+    def test_fifteen_slot_attacks(self, attack):
+        attack()
+        assert self._peak(attack) <= self.BUDGET
