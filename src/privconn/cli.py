@@ -223,7 +223,7 @@ def _cmd_bounds(args) -> int:
         return EXIT_OK
     if args.format == "csv":
         raise ValueError("csv output is only available for tabular results (use --sweep-eps)")
-    bounds = exact_bounds(args.lambda2, lambda_n, args.n, alpha_d=alpha, alpha_rho=alpha)
+    bounds = exact_bounds(args.lambda2, lambda_n, args.n, alpha)
     report = _json_report(
         inputs={
             "lambda2": args.lambda2,
@@ -462,7 +462,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:
-        # MemoryError: the dense Laplacian of a huge graph; numpy names the size
+        # MemoryError: an array numpy cannot allocate, such as the sparse
+        # route's length-n arrays for a header declaring billions of nodes;
+        # numpy names the size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -27,13 +27,17 @@ from .privacy_mechanism import _check_scale, normalizer_C
 __all__ = [
     "RateErrorQuery",
     "ConcentrationBound",
-    "true_rate",
     "rho_terms",
     "expected_rate_error",
     "concentration_bound",
     "settle_time",
     "worst_case_settle_time",
 ]
+
+# worst_case_settle_time covers lambda2 in [n / _SETTLE_GRID_POINTS, n],
+# the range of a sweep of that many even steps, which its two ends equal
+_SETTLE_GRID_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class RateErrorQuery:
@@ -69,22 +73,6 @@ class ConcentrationBound:
     b: float
     n: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "rho3": self.rho3,
-            "bound": self.bound,
-            # a Markov bound above 1 constrains nothing; say so rather
-            # than clamping the reported value
-            "vacuous": self.bound > 1.0,
-            "t": self.t,
-            "a": self.a,
-            "lambda2": self.lambda2,
-            "b": self.b,
-            "n": self.n,
-        }
-
 
 def _check_inputs(lambda2: float, b: float, n: float) -> None:
     _check_scale(b)
@@ -92,13 +80,6 @@ def _check_inputs(lambda2: float, b: float, n: float) -> None:
         raise ValueError(f"domain width must be positive and finite, got {n}")
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
-
-
-def true_rate(lambda2: float, t: float) -> float:
-    """The contraction factor exp(-lambda2 t) itself."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return math.exp(-lambda2 * t)
 
 
 def rho_terms(t, lambda2: float, b: float, n: float):
@@ -154,8 +135,7 @@ def concentration_bound(
 ) -> ConcentrationBound:
     """P(|estimated - true contraction| >= a) at time q.t, by Markov.
 
-    The bound is reported even when it exceeds 1 (then flagged vacuous in
-    the serialized form, never clamped).
+    The bound is reported even when it exceeds 1, never clamped.
     """
     rho1, rho2, rho3 = rho_terms(q.t, lambda2, b, n)
     bound = _combine_rho(rho1, rho2, rho3, lambda2, b, n) / q.a
@@ -201,27 +181,23 @@ def settle_time(q: RateErrorQuery, lambda2: float, b: float, n: float) -> float:
     return _settle(lambda2, b, n, q.a, q.eta)
 
 
-def worst_case_settle_time(
-    q: RateErrorQuery, b: float, n: float, grid_points: int = 10_000
-) -> float:
-    """Largest settle time over connectivity values in [n/grid_points, n].
+def worst_case_settle_time(q: RateErrorQuery, b: float, n: float) -> float:
+    """Largest settle time over connectivity values in [n/10,000, n].
 
     The analyst does not know the true lambda2, so the settle time is
-    maximized over it; the floor n/grid_points is how close to
-    disconnection it looks. The larger of the two end values is the exact
-    maximum. On (0, n/2] every term of the lower branch falls as lambda2
-    grows: the hump's two positive factors, exp(-lambda2/b) -
-    exp((lambda2 - n)/b) and b/(lambda2 e), fall, and 1/base falls
-    because the normalizer C rises toward n/2. On (n/2, n] the value is
+    maximized over it; the floor n/10,000 is how close to disconnection
+    it looks. The larger of the two end values is the exact maximum. On
+    (0, n/2] every term of the lower branch falls as lambda2 grows: the
+    hump's two positive factors, exp(-lambda2/b) - exp((lambda2 - n)/b)
+    and b/(lambda2 e), fall, and 1/base falls because the normalizer C
+    rises toward n/2. On (n/2, n] the value is
     1/b + 1/(base * b) with C falling, so it rises toward n. The hump is
     zero at n/2, where the value is smallest, so n/2 never wins.
     """
     if q.eta is None:
         raise ValueError("settle-time queries need eta set on the query")
-    if grid_points < 2:
-        raise ValueError("grid must have at least 2 points")
     _check_inputs(float(n), b, n)
     return max(
-        _settle(n / grid_points, b, n, q.a, q.eta),
+        _settle(n / _SETTLE_GRID_POINTS, b, n, q.a, q.eta),
         _settle(float(n), b, n, q.a, q.eta),
     )

@@ -11,13 +11,13 @@ within 1e-9 by index: from a dense eigenvalue-only solve checked by two
 Cholesky inertia tests, or, on large sparse graphs, from a preconditioned
 LOBPCG estimate checked by a sparse pivot count below and a Rayleigh
 bound above. Its docstring says what each check proves. spectrum runs the
-same dense solve and tests, and certifies lambda_n the same way; its other
-eigenvalues are the solver's, uncertified.
+same dense solve and tests, certifies lambda_n the same way, and returns
+those two values alone.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
 paths beyond about 2,000 nodes (at 3,072 nodes a pass takes ~10 s against
-BFS's ~7 s). The connectivity check is a level-at-a-time numpy BFS.
+BFS's ~7 s).
 
 A Graph is its node count and its (m, 2) edge array, which the
 Laplacian, the degrees and Seidel all start from; the frozenset of edges
@@ -50,8 +50,6 @@ __all__ = [
     "laplacian",
     "spectrum",
     "algebraic_connectivity",
-    "is_connected",
-    "symmetric_difference_size",
     "diameter_exact",
     "mean_distance_exact",
     "min_degree",
@@ -93,7 +91,7 @@ _RAYLEIGH_MARGIN = 16 * np.finfo(float).eps
 _PLAIN_BYTES = np.zeros(256, dtype=bool)
 _PLAIN_BYTES[[ord(c) for c in "0123456789 \t\n"]] = True
 
-# Graph sorts its edges by the key lo * n + hi while n^2 fits in intp
+# Graph sorts its edges by the key lo * n + hi, so n^2 must fit in intp
 _KEY_MAX_N = math.isqrt(np.iinfo(np.intp).max)
 
 
@@ -105,12 +103,15 @@ class Graph:
     their n and array bytes are. edges is the frozenset of (u, v) tuples,
     built on first use. Graph(n, edges) takes pairs u < v inside 0..n-1,
     as any iterable or an (m, 2) array; from_edges also takes u > v.
-    Repeated pairs collapse.
+    Repeated pairs collapse. n is at most _KEY_MAX_N (about 3.04e9), the
+    largest whose sort keys fit in intp.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"node count must be a positive integer, got {n!r}")
+        if n > _KEY_MAX_N:
+            raise ValueError(f"node count {n} is above {_KEY_MAX_N}, the most a Graph holds")
         pairs = _pair_array(edges)
         lo, hi = pairs.T
         bad = ~((0 <= lo) & (lo < hi) & (hi < n))
@@ -118,10 +119,7 @@ class Graph:
             edge = tuple(pairs[bad.argmax()].tolist())
             raise ValueError(f"edge {edge!r} is not a normalized pair inside 0..{n - 1}")
         # sorting keys beats np.unique's hashing (8 against 58 ms on K_600)
-        if n <= _KEY_MAX_N:
-            pairs = np.stack(np.divmod(np.sort(lo * n + hi), n), axis=1)
-        else:
-            pairs = pairs[np.lexsort((hi, lo))]
+        pairs = np.stack(np.divmod(np.sort(lo * n + hi), n), axis=1)
         fresh = np.ones(len(pairs), dtype=bool)
         fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
         pairs = pairs[fresh]
@@ -181,9 +179,8 @@ def _pair_array(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Laplacian eigenvalues in ascending order plus the two named ones."""
+    """The two Laplacian eigenvalues spectrum certifies by index."""
 
-    eigenvalues: tuple
     lambda2: float
     lambda_n: float
 
@@ -305,7 +302,7 @@ def laplacian(graph: Graph) -> np.ndarray:
 
 
 def spectrum(graph: Graph) -> SpectralSummary:
-    """Every Laplacian eigenvalue, with lambda2 and lambda_n certified by index.
+    """lambda2 and lambda_n, each certified by index to within 1e-9.
 
     It runs algebraic_connectivity's dense route, which certifies lambda2
     to within tol = 1e-9, and certifies lambda_n the same way on
@@ -313,17 +310,16 @@ def spectrum(graph: Graph) -> SpectralSummary:
     Cholesky factorization that succeeds at lambda_n + tol and fails at
     lambda_n - tol puts lambda_n within tol of its value, up to the same
     backward error. The first test is skipped when lambda_n snaps to n,
-    above which no eigenvalue lies. The other eigenvalues are the solver's
-    output after the snap and are not certified. Graphs above 13,000
-    nodes are refused before anything is built, as on that route.
+    above which no eigenvalue lies. Graphs above 13,000 nodes are refused
+    before anything is built, as on that route.
 
     Raises:
         ValueError: for a single node, or above the dense route's node cap.
         NumericalError: if the solver does not converge or a test
             contradicts the value.
     """
-    w = _dense_eigenvalues(graph, "spectrum", lambda_n=True).tolist()
-    return SpectralSummary(eigenvalues=tuple(w), lambda2=w[1], lambda_n=w[-1])
+    w = _dense_eigenvalues(graph, "spectrum", lambda_n=True)
+    return SpectralSummary(lambda2=float(w[1]), lambda_n=float(w[-1]))
 
 
 def algebraic_connectivity(graph: Graph) -> float:
@@ -563,27 +559,6 @@ def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def is_connected(graph: Graph) -> bool:
-    """Whether every node is reachable from node 0: a numpy BFS over the
-    edge array, O(n + m) per level and a level per hop of node 0's reach."""
-    u, v = graph.pairs.T
-    seen = np.zeros(graph.n, dtype=bool)
-    frontier = np.arange(graph.n) == 0
-    while frontier.any():
-        seen |= frontier
-        reached = np.zeros_like(seen)
-        reached[v[frontier[u]]] = reached[u[frontier[v]]] = True
-        frontier = reached & ~seen
-    return bool(seen.all())
-
-
-def symmetric_difference_size(g: Graph, h: Graph) -> int:
-    """|E(g) xor E(h)|, the edge-level adjacency distance between graphs."""
-    if g.n != h.n:
-        raise ValueError(f"graphs have different node counts: {g.n} vs {h.n}")
-    return len(g.edges.symmetric_difference(h.edges))
 
 
 def _all_pairs_distances(graph: Graph) -> np.ndarray:

@@ -114,10 +114,11 @@ def delta_C(b: float, A: int, n: float) -> float:
     b -> infinity.
 
     Raises:
+        ValueError: if A is not an integer >= 1.
         InfeasibleParamsError: if the sensitivity 2A exceeds the support
             width n, in which case no truncated mechanism exists.
     """
-    sens = sensitivity_bound(A) if A else 0.0  # radius 0 shifts nothing
+    sens = sensitivity_bound(A)
     if sens > n:
         raise InfeasibleParamsError(
             f"sensitivity 2A = {sens} exceeds the support width n = {n}"
@@ -206,9 +207,9 @@ def solve_scale_b(params: PrivacyParams, n: float, tol: float = 1e-6) -> float:
 class BoundedLaplaceDist:
     """Laplace(center, scale_b) truncated and re-normalized to [0, n].
 
-    Provides the closed-form density, distribution function, and its
-    inverse; sampling is inverse-transform and fully determined by the
-    supplied generator.
+    Provides the closed-form distribution function and its inverse;
+    sampling is inverse-transform and fully determined by the supplied
+    generator.
     """
 
     center: float
@@ -227,15 +228,6 @@ class BoundedLaplaceDist:
     @property
     def normalizer(self) -> float:
         return normalizer_C(self.center, self.scale_b, self.domain_upper_n)
-
-    def pdf(self, x):
-        """Density at x; zero outside [0, n]. Accepts scalars or arrays."""
-        x = np.asarray(x, dtype=float)
-        c, b, n = self.center, self.scale_b, self.domain_upper_n
-        inside = (x >= 0.0) & (x <= n)
-        core = np.exp(-np.abs(x - c) / b) / (2.0 * b * self.normalizer)
-        out = np.where(inside, core, 0.0)
-        return out if out.ndim else float(out)
 
     def cdf(self, x):
         """Distribution function; 0 below the support and 1 above it."""
@@ -292,16 +284,6 @@ class PrivateRelease:
     scale_b: float
     n: int
     params: PrivacyParams
-
-    def as_dict(self) -> dict:
-        return {
-            "lambda2_tilde": self.lambda2_tilde,
-            "b": self.scale_b,
-            "n": self.n,
-            "epsilon": self.params.epsilon,
-            "delta": self.params.delta,
-            "A": self.params.A,
-        }
 
 
 def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:

@@ -9,9 +9,10 @@ released value it is a plug-in estimate, not a certificate.
 
 The upper bounds carry a free log base alpha > 1 from the underlying
 eigenvalue argument. The diameter's best base is one universal constant;
-the mean distance's is optimized per call by optimize_alpha. Expected-value
-variants average the relevant functionals of the private draw in closed
-form, so utility can be judged before anything is released.
+the mean distance's is searched per call, as the sign change of the
+bound's derivative (see _best_base). Expected-value variants average the
+relevant functionals of the private draw in closed form, so utility can
+be judged before anything is released.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .privacy_mechanism import _bracket_root, normalizer_C
 
 __all__ = [
     "PropertyBoundReport",
-    "diameter_bounds_exact",
-    "mean_distance_bounds_exact",
-    "optimize_alpha",
     "exact_bounds",
     "expected_lambda2",
     "expected_inv_sqrt_lambda2",
@@ -35,7 +33,6 @@ __all__ = [
 
 _ALPHA_LO = 1.0 + 1e-6
 _ALPHA_HI = 1e3
-_BOUND_KINDS = ("diameter", "mean_distance")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -69,27 +66,6 @@ def _log_levels(n: int, alpha: float) -> float:
 def _mean_distance_upper(S: float, n: int, alpha: float) -> float:
     levels = _log_levels(n, alpha)
     return (S * _spread_factor(alpha) + 1.0) * (n / (n - 1.0)) * (0.5 + levels)
-
-
-def diameter_bounds_exact(
-    lambda2: float, lambda_n: float, n: int, alpha: float
-) -> tuple[float, float]:
-    """(lower, upper) sandwich on the diameter from the eigenvalue pair.
-
-    Lower bound 4/(n lambda2) needs only the connectivity; the upper
-    bound also uses the ratio lambda_n/lambda2 and the log base alpha.
-    Bounds are reported as computed, never clamped to the trivial range.
-    """
-    report = exact_bounds(lambda2, lambda_n, n, alpha, alpha)
-    return report.d_lower, report.d_upper
-
-
-def mean_distance_bounds_exact(
-    lambda2: float, lambda_n: float, n: int, alpha: float
-) -> tuple[float, float]:
-    """(lower, upper) sandwich on the mean pairwise distance."""
-    report = exact_bounds(lambda2, lambda_n, n, alpha, alpha)
-    return report.rho_lower, report.rho_upper
 
 
 def _log_slope(alpha: float, K: float) -> float:
@@ -149,25 +125,6 @@ def _alpha_rho(S: float, n: int) -> float:
     )
 
 
-def optimize_alpha(bound_kind: str, lambda2: float, lambda_n: float, n: int) -> float:
-    """Log base minimizing the named upper bound for these eigenvalues.
-
-    bound_kind is "diameter" or "mean_distance". The diameter objective
-    factors as S * K(alpha)/ln(alpha) * const, so its minimizer is one
-    universal base (about 6.787), computed once at import; the
-    mean-distance minimizer genuinely moves with the eigenvalue ratio and
-    n and is searched per call, as the sign change of the bound's
-    derivative (see _best_base), in about ten evaluations. The returned
-    base is never worse than the conventional choices 2 and e.
-    """
-    _check_pair(lambda2, lambda_n, n)
-    if bound_kind == "diameter":
-        return _ALPHA_D
-    if bound_kind == "mean_distance":
-        return _alpha_rho(math.sqrt(lambda_n / lambda2), n)
-    raise ValueError(f"bound_kind must be one of {_BOUND_KINDS}, got {bound_kind!r}")
-
-
 @dataclass(frozen=True)
 class PropertyBoundReport:
     """Sandwich on diameter (d) and mean distance (rho).
@@ -178,7 +135,7 @@ class PropertyBoundReport:
     plugged with a released draw they are estimates. b is
     the mechanism scale in the latter case, None otherwise. alpha_d and
     alpha_rho are the log bases used by the two upper bounds, optimized
-    separately unless the caller pinned them.
+    separately unless the caller pinned one base for both.
     """
 
     d_lower: float
@@ -198,20 +155,16 @@ class PropertyBoundReport:
 
 
 def _sandwich(
-    S: float,
-    inv_lambda2: float,
-    n: int,
-    alpha_d: float | None,
-    alpha_rho: float | None,
-    **meta,
+    S: float, inv_lambda2: float, n: int, alpha: float | None, **meta
 ) -> PropertyBoundReport:
     """The report for spread S = sqrt(lambda_n / lambda2) and 1/lambda2
-    (or their expectations); a base left as None is optimized for its own
-    bound, and meta carries the remaining report fields."""
-    if alpha_d is None:
-        alpha_d = _ALPHA_D
-    if alpha_rho is None:
-        alpha_rho = _alpha_rho(S, n)
+    (or their expectations); alpha, when given, is both bounds' base, and
+    when None each base is optimized for its own bound. meta carries the
+    remaining report fields."""
+    if alpha is None:
+        alpha_d, alpha_rho = _ALPHA_D, _alpha_rho(S, n)
+    else:
+        alpha_d = alpha_rho = alpha
     return PropertyBoundReport(
         d_lower=4.0 * inv_lambda2 / n,
         d_upper=2.0 * S * _spread_factor(alpha_d) * _log_levels(n, alpha_d) + 2.0,
@@ -225,25 +178,21 @@ def _sandwich(
 
 
 def exact_bounds(
-    lambda2: float,
-    lambda_n: float,
-    n: int,
-    alpha_d: float | None = None,
-    alpha_rho: float | None = None,
+    lambda2: float, lambda_n: float, n: int, alpha: float | None = None
 ) -> PropertyBoundReport:
     """Plug-in sandwich for a known connectivity value (exact or a draw).
 
-    With a base left as None it is optimized for its own bound; passing
-    one pins it for that bound only.
+    With alpha None each upper bound's log base is optimized for that
+    bound: the diameter's is one universal base (about 6.787), the mean
+    distance's is searched per call in about ten evaluations, and neither
+    is worse than the conventional choices 2 and e. A given alpha is
+    both bounds' base.
     """
     _check_pair(lambda2, lambda_n, n)
-    for alpha in (alpha_d, alpha_rho):
-        if alpha is not None:
-            _check_alpha(alpha)
+    if alpha is not None:
+        _check_alpha(alpha)
     S = math.sqrt(lambda_n / lambda2)
-    return _sandwich(
-        S, 1.0 / lambda2, n, alpha_d, alpha_rho, mode="exact", lambda2=lambda2, lambda_n=lambda_n
-    )
+    return _sandwich(S, 1.0 / lambda2, n, alpha, mode="exact", lambda2=lambda2, lambda_n=lambda_n)
 
 
 def expected_lambda2(lambda2: float, b: float, n: float) -> float:
@@ -317,7 +266,7 @@ def expected_bounds(lambda2: float, b: float, lambda_n: float, n: int) -> Proper
     S = math.sqrt(lambda_n) * expected_inv_sqrt_lambda2(lambda2, b, float(n))
     mean_draw = expected_lambda2(lambda2, b, float(n))
     return _sandwich(
-        S, 1.0 / mean_draw, n, None, None, mode="expected", lambda2=lambda2, lambda_n=lambda_n, b=b
+        S, 1.0 / mean_draw, n, None, mode="expected", lambda2=lambda2, lambda_n=lambda_n, b=b
     )
 
 

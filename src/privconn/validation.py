@@ -28,13 +28,13 @@ pieces, unless rng.random returns exactly 0.0 (probability 2^-53 per
 draw): sample redraws such zeros at the end of their block, so the
 stream shifts from there on.
 
-The attack side shows why the noise is needed: enumerate_consistent_graphs
-lists every graph consistent with partial edge knowledge and a published
-connectivity value; exact_value_attack reports which edges that pins
-down; attack_under_noise repeats the enumeration against a private
-release, where the candidate set swells back to near-uselessness.
+The attack side shows why the noise is needed: exact_value_attack lists
+every graph consistent with partial edge knowledge and a published
+connectivity value and reports which edges that pins down;
+attack_under_noise repeats the enumeration against a private release,
+where the candidate set swells back to near-uselessness.
 
-All three keep a completion when its lambda2 lies in the window
+Both keep a completion when its lambda2 lies in the window
 (v - tol, v + tol] around the published value v, and decide that by
 Sylvester's law of inertia instead of computing lambda2. With
 M = L + ((n + 1)/n) 11^T, whose least eigenvalue is lambda2 (the all-ones
@@ -80,7 +80,6 @@ __all__ = [
     "audit_dp",
     "audit_concentration",
     "audit_expectations",
-    "enumerate_consistent_graphs",
     "exact_value_attack",
     "attack_under_noise",
 ]
@@ -570,30 +569,6 @@ def _disclosed(freqs: dict) -> tuple[tuple, tuple]:
     return present, absent
 
 
-def enumerate_consistent_graphs(
-    n: int,
-    known_present=(),
-    known_absent=(),
-    lambda2_observed: float = 0.0,
-    tol: float = 1e-6,
-) -> list[Graph]:
-    """Every n-node graph matching the edge knowledge whose connectivity
-    lies in (lambda2_observed - tol, lambda2_observed + tol].
-
-    Membership is certified by index, by two Cholesky inertia tests (see
-    the module docstring), not read off a computed eigenvalue. The
-    candidate list depends only on the knowledge sets, not on the order
-    their edges were given in; tol = inf drops the value constraint and
-    returns the whole knowledge-consistent family.
-
-    Raises:
-        ValueError: if lambda2_observed is not finite or tol is not
-            positive, or on bad or contradictory knowledge.
-    """
-    unknown, kp, masks, _, _ = _consistent_masks(n, known_present, known_absent, lambda2_observed, tol)
-    return [Graph(n=n, edges=edges) for edges in _completions(unknown, kp, masks)]
-
-
 @dataclass(frozen=True)
 class AttackResult:
     """What an adversary with partial knowledge learns from an exact value."""
@@ -631,14 +606,19 @@ def exact_value_attack(
     exactly published connectivity value, and summarize the disclosure.
 
     A candidate is a knowledge-consistent graph whose lambda2 lies in
-    (value - tol, value + tol], certified by index as in
-    enumerate_consistent_graphs. Any unknown edge slot present in every
-    candidate (or in none) has been disclosed to the adversary outright;
-    the remaining slots get a candidate frequency. An empty candidate set
-    means the claimed value contradicts the claimed knowledge.
+    (value - tol, value + tol], certified by index by two Cholesky inertia
+    tests (see the module docstring), not read off a computed eigenvalue.
+    The candidates are edge sets, and depend only on the knowledge sets,
+    not on the order their edges were given in; tol = inf drops the value
+    constraint and keeps the whole knowledge-consistent family. Any
+    unknown edge slot present in every candidate (or in none) has been
+    disclosed to the adversary outright; the remaining slots get a
+    candidate frequency. An empty candidate set means the claimed value
+    contradicts the claimed knowledge.
 
     Raises:
-        ValueError: if value is not finite or tol is not positive.
+        ValueError: if value is not finite or tol is not positive, or on
+            bad or contradictory knowledge.
     """
     unknown, kp, masks, slot_counts, _ = _consistent_masks(n, known_present, known_absent, value, tol)
     candidates = _completions(unknown, kp, masks)
@@ -695,7 +675,7 @@ def attack_under_noise(
     untruncated Laplace puts at least `coverage` of its mass within w of
     its center; truncation only concentrates it further). The plausible
     graphs are those with lambda2 in (release - w, release + w],
-    certified by index as in enumerate_consistent_graphs; a window that
+    certified by index as in exact_value_attack; a window that
     covers all of [0, n] keeps every completion without building a
     matrix. Whatever edges are still common to every window graph remain
     disclosed; with a properly scaled mechanism that set is typically

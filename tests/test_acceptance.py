@@ -22,14 +22,12 @@ from privconn import (
     audit_dp,
     audit_sensitivity,
     concentration_bound,
-    diameter_bounds_exact,
-    enumerate_consistent_graphs,
     exact_bounds,
+    exact_value_attack,
     expected_bounds,
     expected_inv_sqrt_lambda2,
     expected_lambda2,
     expected_rate_error,
-    mean_distance_bounds_exact,
     min_degree_inference,
     RateErrorQuery,
     settle_time,
@@ -221,10 +219,9 @@ def test_criterion_09_bounds_hold_on_every_small_graph():
             rho_true = mean_distance_exact(g)
             graphs += 1
             for alpha in alphas:
-                d_lo, d_hi = diameter_bounds_exact(summ.lambda2, summ.lambda_n, n, alpha)
-                r_lo, r_hi = mean_distance_bounds_exact(
-                    summ.lambda2, summ.lambda_n, n, alpha
-                )
+                rep = exact_bounds(summ.lambda2, summ.lambda_n, n, alpha)
+                d_lo, d_hi = rep.d_lower, rep.d_upper
+                r_lo, r_hi = rep.rho_lower, rep.rho_upper
                 worst_slack = min(
                     worst_slack,
                     d_true - d_lo,
@@ -271,16 +268,12 @@ def test_criterion_10_bounds_tighten_with_budget():
 def test_criterion_11_reconstruction_examples():
     t0 = time.monotonic()
     kp, ka = ((0, 1), (0, 2)), ((0, 3),)
-    low = enumerate_consistent_graphs(
-        4, known_present=kp, known_absent=ka, lambda2_observed=1.0
-    )
-    low_ok = len(low) == 2 and all((1, 2) in g.edges for g in low)
-    high = enumerate_consistent_graphs(
-        4, known_present=kp, known_absent=ka, lambda2_observed=2.0
-    )
+    low = exact_value_attack(4, 1.0, known_present=kp, known_absent=ka).candidates
+    low_ok = len(low) == 2 and all((1, 2) in edges for edges in low)
+    high = exact_value_attack(4, 2.0, known_present=kp, known_absent=ka).candidates
     # node 3 is the last node, so the larger end of each of its edges
     high_ok = len(high) > 0 and all(
-        frozenset(u for u, v in g.edges if v == 3) == frozenset({1, 2}) for g in high
+        frozenset(u for u, v in edges if v == 3) == frozenset({1, 2}) for edges in high
     )
     degree_ok = min_degree_inference(2.0, 4) == 2
     elapsed = time.monotonic() - t0

@@ -12,8 +12,8 @@ from privconn import (
     cli,
     from_edge_list,
     graph_core,
-    optimize_alpha,
     privatize,
+    property_bounds,
 )
 from privconn.cli import main
 
@@ -139,6 +139,19 @@ class TestPrivatize:
         assert code == 2
         assert err.startswith("error: ") and "74.5 GiB" in err
         assert "Traceback" not in err
+
+    def test_node_count_past_the_sort_keys_exits_2(self, capsys, tmp_path, monkeypatch):
+        # such a graph would take the sparse route, whose length-n arrays
+        # take 34 GB at this n; it must be refused before that
+        def unreachable(graph):
+            raise AssertionError(f"the sparse route was reached with n={graph.n}")
+
+        monkeypatch.setattr(graph_core, "_sparse_algebraic_connectivity", unreachable)
+        path = tmp_path / "g.txt"
+        path.write_text("n=4294967296\n0 1\n")
+        code, out = run(capsys, ["privatize", "--input", str(path)])
+        assert code == 2
+        assert out == ""
 
     def test_graph_above_the_dense_cap_exits_2(self, capsys, tmp_path, monkeypatch):
         from privconn import graph_core
@@ -318,7 +331,7 @@ class TestBounds:
         _, auto = run_json(capsys, argv)
         assert pinned["results"]["bounds"]["alpha_d"] == 2.0
         assert auto["inputs"]["alpha"] == "auto"
-        assert auto["results"]["bounds"]["alpha_d"] == optimize_alpha("diameter", 1.0, 10.0, 10)
+        assert auto["results"]["bounds"]["alpha_d"] == property_bounds._ALPHA_D
         helps = []
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:

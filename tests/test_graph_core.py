@@ -14,12 +14,10 @@ from privconn import (
     algebraic_connectivity,
     diameter_exact,
     from_edge_list,
-    is_connected,
     laplacian,
     mean_distance_exact,
     min_degree,
     spectrum,
-    symmetric_difference_size,
 )
 from privconn import graph_core
 from privconn.graph_core import _LAMBDA2_TOL, laplacians
@@ -182,11 +180,16 @@ class TestGraphType:
         with pytest.raises(ValueError, match="64-bit index"):
             from_edge_list(f"n={2**80}\n0 {2**70}\n")
 
-    def test_canonical_order_past_the_sort_keys_range(self):
-        # lo * n + hi overflows intp at this n, so the rows are lexsorted
-        big = 2**39
-        g = Graph.from_edges(2 * big, [(big + 1, big), (5, big), (big, 5), (7, 5)])
-        assert g.pairs.tolist() == [[5, 7], [5, big], [big, big + 1]]
+    def test_refuses_node_counts_past_the_sort_keys_range(self):
+        # lo * n + hi overflows intp past this n
+        top = graph_core._KEY_MAX_N
+        assert top == 3_037_000_499 and (top + 1) ** 2 > np.iinfo(np.intp).max
+        assert Graph(top, [(5, top - 1)]).pairs.tolist() == [[5, top - 1]]
+        for n in (top + 1, 2**32, 2**40):
+            with pytest.raises(ValueError, match=f"node count {n} is above {top}"):
+                Graph.from_edges(n, [(1, 0)])
+        with pytest.raises(ValueError, match="node count 4294967296 is above"):
+            from_edge_list("n=4294967296\n0 1\n")
 
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -222,24 +225,30 @@ class TestLaplacianBuilder:
 class TestSpectrum:
     @staticmethod
     def _check_against_charpoly(n, edges):
-        """One graph against the exact-integer charpoly route.
+        """One graph's certified pair against the exact-integer charpoly route.
 
-        The eigenvalue multiset is certified in coefficient space (the
-        elementary symmetric functions of the computed spectrum must
-        reproduce the exact integer coefficients), which stays well
-        conditioned at repeated eigenvalues. Where the oracle's own roots
-        are well separated, the values are also compared directly at 1e-7.
+        Each value's index is counted in exact arithmetic: at least n - 1
+        roots of the characteristic polynomial lie above lambda2 - 1e-9
+        and at most n - 2 above lambda2 + 1e-9; one lies above
+        lambda_n - 1e-9 and none above lambda_n + 1e-9. The count stays
+        exact at repeated eigenvalues. Where the oracle's own roots are
+        well separated, both values are also compared with them at 1e-7.
         """
-        got = np.asarray(spectrum(Graph(n=n, edges=edges)).eigenvalues)
-        exact = np.asarray(oc.charpoly_coefficients(oc.laplacian_int(n, edges)), dtype=float)
-        recon = np.poly(got)
-        scale = max(1.0, float(np.abs(exact).max()))
-        assert np.abs(recon - exact).max() <= 1e-8 * scale
-        assert got[0] <= 1e-9
-        assert abs(got.sum() - 2.0 * len(edges)) <= 1e-8
-        roots = oc.charpoly_eigenvalues(oc.laplacian_int(n, edges))
-        if n < 2 or np.diff(roots).min() > 1e-3:
-            assert np.abs(got - roots).max() <= 1e-7
+        s = spectrum(Graph(n=n, edges=edges))
+        L = oc.laplacian_int(n, edges)
+        coefficients = oc.charpoly_coefficients(L)
+
+        def above(x):
+            return oc.roots_above(coefficients, Fraction(x))
+
+        assert above(s.lambda2 - _LAMBDA2_TOL) >= n - 1
+        assert above(s.lambda2 + _LAMBDA2_TOL) <= n - 2
+        assert above(s.lambda_n - _LAMBDA2_TOL) >= 1
+        assert above(s.lambda_n + _LAMBDA2_TOL) == 0
+        roots = oc.charpoly_eigenvalues(L)
+        if np.diff(roots).min() > 1e-3:
+            assert abs(s.lambda2 - roots[1]) <= 1e-7
+            assert abs(s.lambda_n - roots[-1]) <= 1e-7
 
     def test_exhaustive_against_characteristic_polynomial(self):
         for n in range(2, 6):
@@ -262,7 +271,7 @@ class TestSpectrum:
         for n in range(2, 6):
             for edges in oc.all_edge_sets(n):
                 g = Graph(n=n, edges=edges)
-                assert is_connected(g) == (spectrum(g).lambda2 > 1e-6)
+                assert oc.union_find_connected(n, edges) == (spectrum(g).lambda2 > 1e-6)
 
     def test_connectivity_iff_positive_lambda2_sampled_n6(self):
         rng = np.random.default_rng(42)
@@ -271,7 +280,7 @@ class TestSpectrum:
             keep = rng.integers(0, 2, size=len(slots)).astype(bool)
             edges = frozenset(s for s, k in zip(slots, keep) if k)
             g = Graph(n=6, edges=edges)
-            assert is_connected(g) == (spectrum(g).lambda2 > 1e-6)
+            assert oc.union_find_connected(6, edges) == (spectrum(g).lambda2 > 1e-6)
 
     def test_known_closed_form_spectra(self):
         assert spectrum(C4).lambda2 == pytest.approx(2.0, abs=1e-9)
@@ -283,7 +292,8 @@ class TestSpectrum:
 
     def test_boundary_snapping(self):
         empty = Graph(n=4, edges=frozenset())
-        assert spectrum(empty).eigenvalues == (0.0, 0.0, 0.0, 0.0)
+        s = spectrum(empty)
+        assert (s.lambda2, s.lambda_n) == (0.0, 0.0)
         k6 = _graph(6, oc.edge_slots(6))
         s = spectrum(k6)
         assert s.lambda_n == 6.0  # exactly, after the snap
@@ -722,29 +732,3 @@ class TestDistances:
                 with pytest.raises(ValueError, match="disconnected"):
                     mean_distance_exact(g)
 
-
-_SLOTS5 = oc.edge_slots(5)
-_edge_sets = st.frozensets(st.sampled_from(_SLOTS5))
-
-
-class TestSymmetricDifference:
-    @given(_edge_sets, _edge_sets)
-    @settings(max_examples=200, deadline=None)
-    def test_metric_axioms(self, e1, e2):
-        g, h = Graph(n=5, edges=e1), Graph(n=5, edges=e2)
-        d = symmetric_difference_size(g, h)
-        assert d >= 0
-        assert (d == 0) == (g == h)
-        assert d == symmetric_difference_size(h, g)
-
-    @given(_edge_sets, _edge_sets, _edge_sets)
-    @settings(max_examples=200, deadline=None)
-    def test_triangle_inequality(self, e1, e2, e3):
-        g, h, k = (Graph(n=5, edges=e) for e in (e1, e2, e3))
-        assert symmetric_difference_size(g, k) <= (
-            symmetric_difference_size(g, h) + symmetric_difference_size(h, k)
-        )
-
-    def test_node_count_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            symmetric_difference_size(_graph(4, []), _graph(5, []))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,8 +118,9 @@ class TestDeltaC:
             assert delta_C(float(b), 1, 10.0) >= 1.0 - 1e-15
             assert delta_C(float(b), 2, 5.0) >= 1.0 - 1e-15
 
-    def test_zero_radius_is_unit_ratio(self):
-        assert delta_C(3.0, 0, 10.0) == 1.0
+    def test_zero_radius_is_refused(self):
+        with pytest.raises(ValueError, match="radius A must be an integer >= 1"):
+            delta_C(3.0, 0, 10.0)
 
     def test_sensitivity_wider_than_domain_raises(self):
         with pytest.raises(InfeasibleParamsError):
@@ -242,24 +244,29 @@ class TestBoundedLaplace:
         [(1.0, 7.39, 10.0), (0.0, 2.0, 6.0), (5.0, 0.4, 5.0), (9.5, 30.0, 10.0)],
     )
     def test_density_normalizes_and_matches_kernel(self, center, b, n):
+        # the density is the cdf's: each of its steps over a 16-piece grid
+        # is the kernel's mass there, the steps add up to 1, and it is flat
+        # outside [0, n]
         dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=n)
-        mass, _ = integrate.quad(
-            dist.pdf, 0.0, n, points=[center], limit=200, epsabs=1e-13
-        )
-        assert mass == pytest.approx(1.0, abs=1e-10)
-        for x in np.linspace(0.0, n, 17):
-            assert dist.pdf(float(x)) == pytest.approx(
-                oc.bounded_laplace_pdf(float(x), center, b, n), rel=1e-12
+        grid = np.linspace(0.0, n, 17)
+        cdf = dist.cdf(grid)
+        for lo, hi, step in zip(grid.tolist(), grid[1:].tolist(), np.diff(cdf).tolist()):
+            mass, _ = integrate.quad(
+                oc.bounded_laplace_pdf, lo, hi, args=(center, b, n),
+                points=[center] if lo < center < hi else None, limit=200, epsabs=1e-13,
             )
-        assert dist.pdf(-1e-9) == 0.0
-        assert dist.pdf(n + 1e-9) == 0.0
+            assert step == pytest.approx(mass, abs=1e-12)
+        assert cdf[-1] - cdf[0] == pytest.approx(1.0, abs=1e-10)
+        assert dist.cdf(-1e-9) == 0.0
+        assert dist.cdf(n + 1e-9) == 1.0
 
     def test_cdf_is_the_integral_of_pdf(self):
         dist = self.DIST
+        law = (dist.center, dist.scale_b, dist.domain_upper_n)
         for x in (0.3, 1.0, 2.5, 7.0, 9.99):
             mass, _ = integrate.quad(
-                dist.pdf, 0.0, x, points=[dist.center] if x > dist.center else None,
-                limit=200, epsabs=1e-13,
+                oc.bounded_laplace_pdf, 0.0, x, args=law,
+                points=[dist.center] if x > dist.center else None, limit=200, epsabs=1e-13,
             )
             assert dist.cdf(x) == pytest.approx(mass, abs=1e-10)
         assert dist.cdf(0.0) == 0.0
@@ -352,8 +359,9 @@ class TestPrivatize:
 
     def test_as_dict_never_carries_the_true_value(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        d = privatize(g, P_DEFAULT, np.random.default_rng(9)).as_dict()
-        assert set(d) == {"lambda2_tilde", "b", "n", "epsilon", "delta", "A"}
+        d = dataclasses.asdict(privatize(g, P_DEFAULT, np.random.default_rng(9)))
+        assert set(d) == {"lambda2_tilde", "scale_b", "n", "params"}
+        assert set(d["params"]) == {"epsilon", "delta", "A"}
 
     @pytest.mark.parametrize("seed", [1, 2, 9])
     def test_public_fields_do_not_depend_on_the_graph(self, seed):
@@ -362,8 +370,8 @@ class TestPrivatize:
         path = Graph.from_edges(10, [(i, i + 1) for i in range(9)])
         cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
         assert spectrum(path).lambda2 != pytest.approx(spectrum(cycle).lambda2, abs=0.1)
-        d1 = privatize(path, P_DEFAULT, np.random.default_rng(seed)).as_dict()
-        d2 = privatize(cycle, P_DEFAULT, np.random.default_rng(seed)).as_dict()
+        d1 = dataclasses.asdict(privatize(path, P_DEFAULT, np.random.default_rng(seed)))
+        d2 = dataclasses.asdict(privatize(cycle, P_DEFAULT, np.random.default_rng(seed)))
         assert d1.pop("lambda2_tilde") != d2.pop("lambda2_tilde")
         assert d1 == d2
 

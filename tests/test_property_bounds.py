@@ -6,14 +6,11 @@ import pytest
 from scipy import special
 
 from privconn import (
-    diameter_bounds_exact,
     exact_bounds,
     expected_bounds,
     expected_inv_sqrt_lambda2,
     expected_lambda2,
-    mean_distance_bounds_exact,
     min_degree_inference,
-    optimize_alpha,
     spectrum,
 )
 from privconn.property_bounds import _mean_distance_upper, _rho_slope
@@ -72,25 +69,13 @@ class TestExactBoundsSandwich:
             d_true = max(dist[i][j] for i, j in pairs)
             rho_true = sum(dist[i][j] for i, j in pairs) / len(pairs)
             for alpha in ALPHAS:
-                d_lo, d_hi = diameter_bounds_exact(
-                    summ.lambda2, summ.lambda_n, n, alpha
-                )
-                r_lo, r_hi = mean_distance_bounds_exact(
-                    summ.lambda2, summ.lambda_n, n, alpha
-                )
+                rep = exact_bounds(summ.lambda2, summ.lambda_n, n, alpha)
+                d_lo, d_hi = rep.d_lower, rep.d_upper
+                r_lo, r_hi = rep.rho_lower, rep.rho_upper
                 assert d_lo <= d_true + 1e-9, (edges, alpha)
                 assert d_true <= d_hi + 1e-9, (edges, alpha)
                 assert r_lo <= rho_true + 1e-9, (edges, alpha)
                 assert rho_true <= r_hi + 1e-9, (edges, alpha)
-
-    def test_report_matches_the_pairwise_functions(self):
-        rep = exact_bounds(1.0, 8.0, 10, alpha_d=2.0, alpha_rho=3.0)
-        assert (rep.d_lower, rep.d_upper) == diameter_bounds_exact(1.0, 8.0, 10, 2.0)
-        assert (rep.rho_lower, rep.rho_upper) == mean_distance_bounds_exact(
-            1.0, 8.0, 10, 3.0
-        )
-        assert rep.mode == "exact"
-        assert rep.b is None
 
     def test_two_nodes_diameter_upper_is_two(self):
         # log(n/2) = 0, so the upper bound is 2 whatever the base
@@ -98,27 +83,29 @@ class TestExactBoundsSandwich:
             assert exact_bounds(lam2, lam_n, 2).d_upper == 2.0
 
     def test_dict_layout(self):
-        d = exact_bounds(1.0, 8.0, 10).as_dict()
+        d = exact_bounds(1.0, 8.0, 10, 3.0).as_dict()
         assert list(d) == [
             "d_lower", "d_upper", "rho_lower", "rho_upper",
             "alpha_d", "alpha_rho", "mode", "lambda2", "lambda_n", "n", "b",
         ]
+        # a pinned base serves both bounds
+        assert (d["alpha_d"], d["alpha_rho"], d["mode"], d["b"]) == (3.0, 3.0, "exact", None)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: diameter_bounds_exact(2.0, 1.0, 5, 2.0),   # swapped eigenvalues
-            lambda: diameter_bounds_exact(1.0, 2.0, 5, 1.0),   # base must exceed 1
-            lambda: diameter_bounds_exact(1.0, 2.0, 5, 0.5),
-            lambda: diameter_bounds_exact(0.0, 2.0, 5, 2.0),   # disconnected
-            lambda: diameter_bounds_exact(1.0, 2.0, 1, 2.0),
-            lambda: mean_distance_bounds_exact(-1.0, 2.0, 5, 2.0),
-            lambda: optimize_alpha("girth", 1.0, 2.0, 5),
+            lambda: exact_bounds(2.0, 1.0, 5, 2.0),   # swapped eigenvalues
+            lambda: exact_bounds(1.0, 2.0, 5, 1.0),   # base must exceed 1
+            lambda: exact_bounds(1.0, 2.0, 5, 0.5),
+            lambda: exact_bounds(0.0, 2.0, 5, 2.0),   # disconnected
+            lambda: exact_bounds(1.0, 2.0, 1, 2.0),
+            lambda: exact_bounds(-1.0, 2.0, 5, 2.0),
+            lambda: exact_bounds(1.0, 2.0, 5, math.inf),   # base must be finite
             lambda: exact_bounds(1.0, math.nan, 10),           # non-finite eigenvalues
             lambda: exact_bounds(1.0, math.inf, 10),
             lambda: exact_bounds(math.nan, 9.0, 10),
             lambda: exact_bounds(math.inf, math.inf, 10),
-            lambda: optimize_alpha("mean_distance", 1.0, math.nan, 10),
+            lambda: exact_bounds(1.0, math.nan, 10, 2.0),
         ],
     )
     def test_preconditions(self, call):
@@ -141,13 +128,18 @@ class TestAlphaOptimizer:
 
     @staticmethod
     def _objective(kind, lam2, lam_n, n):
-        fn = diameter_bounds_exact if kind == "diameter" else mean_distance_bounds_exact
-        return lambda alpha: fn(lam2, lam_n, n, alpha)[1]
+        field = "d_upper" if kind == "diameter" else "rho_upper"
+        return lambda alpha: getattr(exact_bounds(lam2, lam_n, n, alpha), field)
+
+    @staticmethod
+    def _optimized(kind, lam2, lam_n, n):
+        rep = exact_bounds(lam2, lam_n, n)
+        return rep.alpha_d if kind == "diameter" else rep.alpha_rho
 
     @pytest.mark.parametrize("kind, lam2, lam_n, n", CASES)
     def test_beats_a_dense_grid(self, kind, lam2, lam_n, n):
         objective = self._objective(kind, lam2, lam_n, n)
-        star = optimize_alpha(kind, lam2, lam_n, n)
+        star = self._optimized(kind, lam2, lam_n, n)
         best = objective(star)
         grid_best = min(
             objective(float(a)) for a in np.geomspace(1.0 + 1e-6, 1e3, 4001)
@@ -157,7 +149,7 @@ class TestAlphaOptimizer:
     @pytest.mark.parametrize("kind, lam2, lam_n, n", CASES)
     def test_beats_the_conventional_bases(self, kind, lam2, lam_n, n):
         objective = self._objective(kind, lam2, lam_n, n)
-        best = objective(optimize_alpha(kind, lam2, lam_n, n))
+        best = objective(self._optimized(kind, lam2, lam_n, n))
         assert best <= objective(2.0) + 1e-12
         assert best <= objective(math.e) + 1e-12
 
@@ -165,7 +157,7 @@ class TestAlphaOptimizer:
         """The diameter objective factors as const + scale * K(alpha) /
         log(alpha), so its minimizer is one universal constant."""
         stars = {
-            optimize_alpha("diameter", lam2, lam_n, n)
+            exact_bounds(lam2, lam_n, n).alpha_d
             for lam2, lam_n, n in [
                 (1.0, 8.0, 10),
                 (0.05, 40.0, 48),
@@ -288,21 +280,21 @@ class TestExpectedBounds:
         # identical to the exact formula run at an effective lambda2
         lam_eff = 1.0 / expected_inv_sqrt_lambda2(lam2, b, float(n)) ** 2
         assert rep.alpha_d == pytest.approx(
-            optimize_alpha("diameter", lam_eff, lam_n, n), rel=1e-9
+            exact_bounds(lam_eff, lam_n, n).alpha_d, rel=1e-9
         )
         assert rep.d_upper == pytest.approx(
-            diameter_bounds_exact(lam_eff, lam_n, n, rep.alpha_d)[1], rel=1e-9
+            exact_bounds(lam_eff, lam_n, n, rep.alpha_d).d_upper, rel=1e-9
         )
         assert rep.rho_upper == pytest.approx(
-            mean_distance_bounds_exact(lam_eff, lam_n, n, rep.alpha_rho)[1], rel=1e-9
+            exact_bounds(lam_eff, lam_n, n, rep.alpha_rho).rho_upper, rel=1e-9
         )
         # lower bounds: plain first moment in place of lambda2
         mean = expected_lambda2(lam2, b, float(n))
         assert rep.d_lower == pytest.approx(
-            diameter_bounds_exact(mean, lam_n, n, 2.0)[0], rel=1e-12
+            exact_bounds(mean, lam_n, n, 2.0).d_lower, rel=1e-12
         )
         assert rep.rho_lower == pytest.approx(
-            mean_distance_bounds_exact(mean, lam_n, n, 2.0)[0], rel=1e-12
+            exact_bounds(mean, lam_n, n, 2.0).rho_lower, rel=1e-12
         )
 
     def test_preconditions(self):

@@ -11,7 +11,6 @@ from privconn import validation
 from privconn import (
     AttackResult,
     BoundedLaplaceDist,
-    Graph,
     NoisyAttackResult,
     PrivacyParams,
     attack_under_noise,
@@ -19,7 +18,6 @@ from privconn import (
     audit_dp,
     audit_expectations,
     audit_sensitivity,
-    enumerate_consistent_graphs,
     exact_value_attack,
     solve_scale_b,
 )
@@ -189,59 +187,48 @@ KA = ((0, 3),)
 
 class TestEnumeration:
     def test_low_value_pins_two_candidates(self):
-        found = enumerate_consistent_graphs(
-            4, known_present=KP, known_absent=KA, lambda2_observed=1.0
-        )
+        found = exact_value_attack(4, 1.0, known_present=KP, known_absent=KA).candidates
         assert len(found) == 2
-        assert all(isinstance(g, Graph) for g in found)
-        assert all((1, 2) in g.edges for g in found)
-        sets = {g.edges for g in found}
+        assert all(isinstance(edges, frozenset) for edges in found)
+        assert all((1, 2) in edges for edges in found)
+        sets = set(found)
         assert sets == {
             frozenset({(0, 1), (0, 2), (1, 2), (1, 3)}),
             frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}),
         }
 
     def test_high_value_pins_the_last_nodes_neighborhood(self):
-        found = enumerate_consistent_graphs(
-            4, known_present=KP, known_absent=KA, lambda2_observed=2.0
-        )
+        found = exact_value_attack(4, 2.0, known_present=KP, known_absent=KA).candidates
         assert len(found) == 2
-        for g in found:
+        for edges in found:
             # 3 is the last node, so it is the larger end of its edges
-            neighbors = frozenset(u for u, v in g.edges if v == 3)
+            neighbors = frozenset(u for u, v in edges if v == 3)
             assert neighbors == frozenset({1, 2})
 
     def test_input_order_does_not_matter(self):
-        a = enumerate_consistent_graphs(
-            4, known_present=KP, known_absent=KA, lambda2_observed=1.0
-        )
-        b = enumerate_consistent_graphs(
-            4, known_present=((0, 2), (1, 0)), known_absent=((3, 0),),
-            lambda2_observed=1.0,
-        )
-        assert {g.edges for g in a} == {g.edges for g in b}
+        a = exact_value_attack(4, 1.0, known_present=KP, known_absent=KA).candidates
+        b = exact_value_attack(
+            4, 1.0, known_present=((0, 2), (1, 0)), known_absent=((3, 0),)
+        ).candidates
+        assert set(a) == set(b)
 
     def test_infinite_tolerance_returns_every_completion(self):
-        found = enumerate_consistent_graphs(
-            4, known_present=KP, known_absent=KA, lambda2_observed=0.0, tol=math.inf
-        )
+        found = exact_value_attack(
+            4, 0.0, known_present=KP, known_absent=KA, tol=math.inf
+        ).candidates
         assert len(found) == 2 ** 3  # three undetermined slots
 
     def test_unattainable_value_returns_nothing(self):
-        found = enumerate_consistent_graphs(
-            4, known_present=KP, known_absent=KA, lambda2_observed=3.7
-        )
-        assert found == []
+        found = exact_value_attack(4, 3.7, known_present=KP, known_absent=KA).candidates
+        assert found == ()
 
     def test_contradictory_knowledge_raises(self):
         with pytest.raises(ValueError):
-            enumerate_consistent_graphs(
-                4, known_present=((0, 1),), known_absent=((1, 0),)
-            )
+            exact_value_attack(4, 0.0, known_present=((0, 1),), known_absent=((1, 0),))
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            enumerate_consistent_graphs(7)
+            exact_value_attack(7, 0.0)
 
 
 class TestExactValueAttack:
@@ -280,8 +267,7 @@ class TestExactValueAttack:
                 want = hits / len(r.candidates) if r.candidates else math.nan
                 got = r.edge_frequencies[slot]
                 assert got == want or (math.isnan(got) and math.isnan(want))
-            window = [g.edges for g in enumerate_consistent_graphs(6, kp, ka, value, w)]
-            assert window == list(r.candidates)
+            window = list(r.candidates)
             assert noisy.plausible_count == len(window)
             assert noisy.inferred_present == tuple(
                 s for s in unknown if window and all(s in e for e in window)
@@ -355,18 +341,18 @@ class TestInertiaSelection:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("v, tol", [(0.5, 0.25), (1.25, 0.125), (2.75, 0.5), (3.0, 1.5)])
     def test_every_graph_at_generic_values(self, n, v, tol):
-        found = {g.edges for g in enumerate_consistent_graphs(n, (), (), v, tol)}
+        found = set(exact_value_attack(n, v, tol=tol).candidates)
         assert found == _window_by_oracle(n, v, tol)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_zero_keeps_exactly_the_disconnected_graphs(self, n):
-        found = {g.edges for g in enumerate_consistent_graphs(n, (), (), 0.0, 1e-6)}
+        found = set(exact_value_attack(n, 0.0, tol=1e-6).candidates)
         want = {e for e in oc.all_edge_sets(n) if not oc.union_find_connected(n, e)}
         assert found == want == _window_by_oracle(n, 0.0, 1e-6)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_n_keeps_only_the_complete_graph(self, n):
-        found = [g.edges for g in enumerate_consistent_graphs(n, (), (), float(n), 1e-6)]
+        found = list(exact_value_attack(n, float(n), tol=1e-6).candidates)
         assert found == [frozenset(oc.edge_slots(n))]
 
     def test_noisy_window_over_the_whole_range_builds_nothing(self, monkeypatch):
@@ -388,8 +374,9 @@ class TestInertiaSelection:
     [
         lambda: exact_value_attack(4, math.nan),
         lambda: exact_value_attack(4, math.inf),
-        lambda: enumerate_consistent_graphs(4, (), (), math.nan),
-        lambda: enumerate_consistent_graphs(4, (), (), -math.inf),
+        # the whole knowledge-consistent family still needs a finite value
+        lambda: exact_value_attack(4, math.nan, tol=math.inf),
+        lambda: exact_value_attack(4, -math.inf, tol=math.inf),
         lambda: attack_under_noise(4, math.nan, 6.8),
         lambda: attack_under_noise(4, math.inf, 6.8),
         lambda: attack_under_noise(4, 1.0, math.inf),
