@@ -25,12 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .consensus_analysis import (
-    RateErrorQuery,
-    expected_rate_error,
-    settle_time,
-    worst_case_settle_time,
-)
+from .consensus_analysis import expected_rate_error, settle_time, worst_case_settle_time
 from .errors import InfeasibleParamsError, NumericalError
 from .graph_core import from_edge_list, spectrum
 from .privacy_mechanism import PrivacyParams, _release, privatize, solve_scale_b
@@ -151,8 +146,8 @@ def _cmd_consensus(args) -> int:
     n = float(args.n)
     b = solve_scale_b(params, n)
     grid = _parse_grid(args.t_grid, "t grid")
-    # validates --a and --eta for both formats
-    query = RateErrorQuery(t=float(grid[0]), a=args.a, eta=args.eta)
+    # checks --a and --eta for both formats
+    worst = worst_case_settle_time(b, n, args.a, args.eta)
     errors = expected_rate_error(grid, args.lambda2, b, n)
     bounds = errors / args.a
     rows = [[float(t), float(v), float(e)] for t, v, e in zip(grid, bounds, errors)]
@@ -172,8 +167,8 @@ def _cmd_consensus(args) -> int:
         },
         public={"b": b},
         results={
-            "settle_time": settle_time(query, args.lambda2, b, n),
-            "worst_case_settle_time": worst_case_settle_time(query, b, n),
+            "settle_time": settle_time(args.lambda2, b, n, args.a, args.eta),
+            "worst_case_settle_time": worst,
             "curve": [
                 {"t": t, "bound": v, "expected_error": e, "vacuous": v > 1.0}
                 for t, v, e in rows
@@ -462,9 +457,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:
-        # MemoryError: an array numpy cannot allocate, such as the sparse
-        # route's length-n arrays for a header declaring billions of nodes;
-        # numpy names the size
+        # MemoryError: an array numpy cannot allocate, such as a --t-grid
+        # of 10^12 points; numpy names the size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -10,6 +10,11 @@ tail probability via Markov, and settle_time inverts the bound: past the
 settle time the estimate stays within the tolerance except with the
 stated probability, whatever the draw was.
 
+Every function takes and returns plain numbers: a time t (a float, or an
+array of times where the result is per time), the deviation threshold
+a > 0, and for the settle times the probability ceiling eta in (0, 1).
+The functions that read a or eta check them.
+
 rho_terms writes the below-centre piece with exprel(z) = expm1(z)/z of a
 nonpositive z, one expression that neither divides by b*t - 1 nor
 overflows, on either side of b*t = 1.
@@ -18,15 +23,12 @@ overflows, on either side of b*t = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .privacy_mechanism import _check_scale, normalizer_C
 
 __all__ = [
-    "RateErrorQuery",
-    "ConcentrationBound",
     "rho_terms",
     "expected_rate_error",
     "concentration_bound",
@@ -39,39 +41,9 @@ __all__ = [
 _SETTLE_GRID_POINTS = 10_000
 
 
-@dataclass(frozen=True)
-class RateErrorQuery:
-    """A rate-error question: deviation a at time t, optional ceiling eta.
-
-    eta is only consulted by the settle-time operations.
-    """
-
-    t: float
-    a: float
-    eta: float | None = None
-
-    def __post_init__(self):
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"time must be positive and finite, got {self.t}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"deviation threshold must be positive and finite, got {self.a}")
-        if self.eta is not None and not (0.0 < self.eta < 1.0):
-            raise ValueError(f"probability ceiling must lie in (0, 1), got {self.eta}")
-
-
-@dataclass(frozen=True)
-class ConcentrationBound:
-    """Markov tail bound on the rate error, with its three pieces echoed."""
-
-    rho1: float
-    rho2: float
-    rho3: float
-    bound: float
-    t: float
-    a: float
-    lambda2: float
-    b: float
-    n: float
+def _check_threshold(a: float) -> None:
+    if not (a > 0.0 and math.isfinite(a)):
+        raise ValueError(f"deviation threshold must be positive and finite, got {a}")
 
 
 def _check_inputs(lambda2: float, b: float, n: float) -> None:
@@ -113,46 +85,38 @@ def rho_terms(t, lambda2: float, b: float, n: float):
     return float(rho1), float(rho2), float(rho3)
 
 
-def _combine_rho(rho1, rho2, rho3, lambda2: float, b: float, n: float):
-    """(rho1 + rho2 - rho3) / (2C), floored at 0: the mean absolute error."""
+def expected_rate_error(t, lambda2: float, b: float, n: float):
+    """Mean absolute gap between the estimated and true contraction factors.
+
+    E |exp(-X t) - exp(-lambda2 t)| with X drawn from the truncated
+    Laplace centered at lambda2 with scale b on [0, n]: the pieces of
+    rho_terms combined as (rho1 + rho2 - rho3) / (2C), floored at 0.
+    Accepts a scalar t > 0 or an array of such times.
+    """
+    rho1, rho2, rho3 = rho_terms(t, lambda2, b, n)
     C = normalizer_C(lambda2, b, n)
     out = np.maximum((np.asarray(rho1) + rho2 - rho3) / (2.0 * C), 0.0)
     return out if out.ndim else float(out)
 
 
-def expected_rate_error(t, lambda2: float, b: float, n: float):
-    """Mean absolute gap between the estimated and true contraction factors.
+def concentration_bound(t, a: float, lambda2: float, b: float, n: float):
+    """P(|estimated - true contraction| >= a) at time t, by Markov.
 
-    E |exp(-X t) - exp(-lambda2 t)| with X drawn from the truncated
-    Laplace centered at lambda2 with scale b on [0, n]. Accepts a scalar
-    t > 0 or an array of such times.
+    expected_rate_error(t, ...) / a: a float for a scalar t, an array for
+    an array of times. The bound is reported even when it exceeds 1,
+    never clamped.
+
+    Raises:
+        ValueError: if a is not positive and finite, or on a bad time.
     """
-    return _combine_rho(*rho_terms(t, lambda2, b, n), lambda2, b, n)
-
-
-def concentration_bound(
-    q: RateErrorQuery, lambda2: float, b: float, n: float
-) -> ConcentrationBound:
-    """P(|estimated - true contraction| >= a) at time q.t, by Markov.
-
-    The bound is reported even when it exceeds 1, never clamped.
-    """
-    rho1, rho2, rho3 = rho_terms(q.t, lambda2, b, n)
-    bound = _combine_rho(rho1, rho2, rho3, lambda2, b, n) / q.a
-    return ConcentrationBound(
-        rho1=rho1,
-        rho2=rho2,
-        rho3=rho3,
-        bound=bound,
-        t=q.t,
-        a=q.a,
-        lambda2=lambda2,
-        b=b,
-        n=n,
-    )
+    _check_threshold(a)
+    return expected_rate_error(t, lambda2, b, n) / a
 
 
 def _settle(lambda2: float, b: float, n: float, a: float, eta: float) -> float:
+    _check_threshold(a)
+    if not (0.0 < eta < 1.0):
+        raise ValueError(f"probability ceiling must lie in (0, 1), got {eta}")
     C = normalizer_C(lambda2, b, n)
     base = 2.0 * a * C * eta
     if lambda2 <= n / 2.0:
@@ -161,27 +125,26 @@ def _settle(lambda2: float, b: float, n: float, a: float, eta: float) -> float:
     return (base + 1.0) / (base * b)
 
 
-def settle_time(q: RateErrorQuery, lambda2: float, b: float, n: float) -> float:
-    """Time after which the concentration bound stays below q.eta.
+def settle_time(lambda2: float, b: float, n: float, a: float, eta: float) -> float:
+    """Time after which the concentration bound at deviation a stays
+    below eta.
 
     Closed-form sufficient time; splits on lambda2 <= n/2 because the
     below-center error mass only matters when the center sits in the
     lower half of the support.
 
     Raises:
-        ValueError: if q carries no eta, or lambda2 is not strictly
-            positive (a disconnected graph never contracts, so no finite
-            settle time exists).
+        ValueError: if a is not positive and finite, eta lies outside
+            (0, 1), or lambda2 is not strictly positive (a disconnected
+            graph never contracts, so no finite settle time exists).
     """
     _check_inputs(lambda2, b, n)
-    if q.eta is None:
-        raise ValueError("settle-time queries need eta set on the query")
     if lambda2 == 0.0:
         raise ValueError("lambda2 must be strictly positive for a settle time")
-    return _settle(lambda2, b, n, q.a, q.eta)
+    return _settle(lambda2, b, n, a, eta)
 
 
-def worst_case_settle_time(q: RateErrorQuery, b: float, n: float) -> float:
+def worst_case_settle_time(b: float, n: float, a: float, eta: float) -> float:
     """Largest settle time over connectivity values in [n/10,000, n].
 
     The analyst does not know the true lambda2, so the settle time is
@@ -194,10 +157,8 @@ def worst_case_settle_time(q: RateErrorQuery, b: float, n: float) -> float:
     1/b + 1/(base * b) with C falling, so it rises toward n. The hump is
     zero at n/2, where the value is smallest, so n/2 never wins.
     """
-    if q.eta is None:
-        raise ValueError("settle-time queries need eta set on the query")
     _check_inputs(float(n), b, n)
     return max(
-        _settle(n / _SETTLE_GRID_POINTS, b, n, q.a, q.eta),
-        _settle(float(n), b, n, q.a, q.eta),
+        _settle(n / _SETTLE_GRID_POINTS, b, n, a, eta),
+        _settle(float(n), b, n, a, eta),
     )

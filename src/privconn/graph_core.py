@@ -70,6 +70,13 @@ _LAMBDA2_TOL = 1e-9
 _SPARSE_MIN_N = 1024
 _SPARSE_MAX_MEAN_DEGREE = 8
 
+# algebraic_connectivity refuses graphs above this many nodes, whatever
+# their edges: the sparse route's length-n work arrays cost about 500
+# bytes a node (about 550 MB at n = 10^6 with a single edge), and the
+# 700^2 grid (n = 490,000) took 11.8 s at a peak RSS of 1.5 GB. The
+# refusal reads n alone, so it tells nothing about the edges.
+_SPARSE_MAX_N = 500_000
+
 # The dense lambda2 route holds about three n x n float64 arrays (the
 # Laplacian, the eigensolver's copy, a Cholesky factor), 24 n^2 bytes:
 # 3.8 GiB at the cap, under half of an 8 GB machine. Past that numpy can
@@ -325,7 +332,8 @@ def spectrum(graph: Graph) -> SpectralSummary:
 def algebraic_connectivity(graph: Graph) -> float:
     """lambda2 alone, certified by index to within 1e-9.
 
-    A graph with more than 1024 nodes and mean degree at most 8 takes the
+    A graph above 500,000 nodes is refused on n alone, before either
+    route starts. A graph with more than 1024 nodes and mean degree at most 8 takes the
     sparse route below; every other graph takes the dense one. Either way
     an estimate within tol = 1e-9 of 0 or n is snapped onto that end of
     the range, and the value r so obtained is then certified by
@@ -378,12 +386,15 @@ def algebraic_connectivity(graph: Graph) -> float:
     because no Laplacian eigenvalue of an n-node graph exceeds n.
 
     Raises:
-        ValueError: for a single node, or a graph above the dense route's
-            node cap whose mean degree keeps it off the sparse one.
+        ValueError: for a single node, a graph above 500,000 nodes, or a
+            graph above the dense route's node cap whose mean degree
+            keeps it off the sparse one.
         NumericalError: if the solver does not converge or a test
             contradicts the value.
     """
     n = graph.n
+    if n > _SPARSE_MAX_N:
+        raise ValueError(f"algebraic connectivity takes at most {_SPARSE_MAX_N} nodes, got n={n}")
     if n > _SPARSE_MIN_N and 2 * len(graph.pairs) <= _SPARSE_MAX_MEAN_DEGREE * n:
         try:
             return _sparse_algebraic_connectivity(graph)

@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .consensus_analysis import RateErrorQuery, concentration_bound, expected_rate_error
+from .consensus_analysis import concentration_bound, expected_rate_error
 # spectrum is unused here; bench/tracer.py rebinds validation.spectrum
 from .graph_core import Graph, algebraic_connectivity, laplacians, spectrum  # noqa: F401
 from .privacy_mechanism import (
@@ -113,13 +113,7 @@ class AuditReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "audit_name": self.audit_name,
-            "trials": self.trials,
-            "worst_violation": self.worst_violation,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _edge_slots(n: int) -> list[tuple[int, int]]:
@@ -333,25 +327,22 @@ def audit_concentration(
     """
     if trials < 10_000:
         raise ValueError("need at least 1e4 draws per grid point")
-    if a <= 0.0:
-        raise ValueError(f"deviation threshold must be positive, got {a}")
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1 or t_arr.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence of times")
-    if (t_arr <= 0.0).any():
-        raise ValueError("all grid times must be strictly positive")
+    # checks a and every time before any draw
+    bounds = concentration_bound(t_arr, a, lambda2, b, float(n)).tolist()
     dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
     worst = -math.inf
-    for t in t_arr:
+    for t, bound in zip(t_arr, bounds):
         flat = math.exp(-lambda2 * t)
         exceed = sum(
             int(np.count_nonzero(np.abs(np.exp(-draws * t) - flat) >= a))
             for draws in _draws(dist, rng, trials)
         )
         p_hat = exceed / trials
-        bound = concentration_bound(RateErrorQuery(t=float(t), a=a), lambda2, b, float(n)).bound
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
         violation = p_hat - bound - 3.0 * sigma
         worst = max(worst, violation)
@@ -441,16 +432,6 @@ def audit_expectations(
     )
 
 
-def _normalize_known(n: int, edges) -> frozenset:
-    out = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"bad edge ({u}, {v}) for n = {n}")
-        out.add((min(u, v), max(u, v)))
-    return frozenset(out)
-
-
 def _mask_bits(masks: np.ndarray, k: int) -> np.ndarray:
     """Row i holds the k slot bits of masks[i], lowest slot first, as uint8."""
     return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
@@ -514,8 +495,8 @@ def _consistent_masks(
         raise ValueError(f"observed value must be finite, got {lambda2_observed}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    kp = _normalize_known(n, known_present)
-    ka = _normalize_known(n, known_absent)
+    kp = Graph.from_edges(n, known_present).edges
+    ka = Graph.from_edges(n, known_absent).edges
     if kp & ka:
         raise ValueError(f"edges claimed both present and absent: {sorted(kp & ka)}")
     unknown = [s for s in _edge_slots(n) if s not in kp and s not in ka]
@@ -649,15 +630,7 @@ class NoisyAttackResult:
     inferred_absent: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "release_value": self.release_value,
-            "window_halfwidth": self.window_halfwidth,
-            "plausible_count": self.plausible_count,
-            "knowledge_consistent_count": self.knowledge_consistent_count,
-            "inferred_present": [list(e) for e in self.inferred_present],
-            "inferred_absent": [list(e) for e in self.inferred_absent],
-        }
+        return asdict(self)
 
 
 def attack_under_noise(

@@ -29,7 +29,6 @@ from privconn import (
     expected_lambda2,
     expected_rate_error,
     min_degree_inference,
-    RateErrorQuery,
     settle_time,
     solve_scale_b,
     spectrum,
@@ -163,10 +162,8 @@ def test_criterion_07_settle_time_is_sound():
         b = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
         a = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
         eta = float(rng.uniform(0.001, 0.5))
-        q = RateErrorQuery(t=1.0, a=a, eta=eta)
-        ts = settle_time(q, lam2, b, n)
-        cb = concentration_bound(RateErrorQuery(t=ts, a=a, eta=eta), lam2, b, n)
-        worst = max(worst, cb.bound - eta)
+        ts = settle_time(lam2, b, n, a, eta)
+        worst = max(worst, concentration_bound(ts, a, lam2, b, n) - eta)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 60.0
     _report(

@@ -44,3 +44,40 @@ def test_tracer_rebinds_and_restores_every_pinned_name():
         t.remove()
     for (path, attr), fn in pinned.items():
         assert getattr(tracer._owner(pc, path), attr) is fn, (path, attr)
+
+
+def test_traced_commands_record_every_consensus_and_bounds_span(capsys):
+    """certify's three commands and a small validate, traced: each layer a
+    per-layer metric reads must show up, or that metric reads 0 silently
+    when a call stops going through a rebound global."""
+    tracer = _load_tracer()
+    pc = types.SimpleNamespace(**{m: importlib.import_module(f"privconn.{m}") for m in MODULES})
+    runs = (
+        ["consensus", "--lambda2", "3.0", "--n", "40", "--eps", "0.4"],
+        ["bounds", "--lambda2", "3.0", "--n", "40"],
+        ["bounds", "--lambda2", "3.0", "--n", "40", "--sweep-eps", "0.1:2:20"],
+        [
+            "validate", "--n", "4", "--pairs", "0", "--samples-per-graph", "100000",
+            "--conc-trials", "10000", "--exp-trials", "1000000",
+        ],
+    )
+    t = tracer.Tracer()
+    t.install(pc)
+    try:
+        codes = [pc.cli.main(argv) for argv in runs]
+    finally:
+        t.remove()
+    capsys.readouterr()
+    assert codes[:3] == [0, 0, 0] and codes[3] in (0, 5), codes
+    recorded = {span[0] for span in t.spans}
+    want = {
+        "consensus_analysis.expected_rate_error",
+        "consensus_analysis.settle_time",
+        "consensus_analysis.worst_case_settle_time",
+        "consensus_analysis.concentration_bound",
+        "property_bounds.exact_bounds",
+        "property_bounds.expected_bounds",
+        "validation.audit_concentration",
+    }
+    assert sorted(want - recorded) == []
+    assert t.counts["privacy_mechanism.delta_C_calls"] > 0

@@ -153,6 +153,21 @@ class TestPrivatize:
         assert code == 2
         assert out == ""
 
+    def test_node_count_above_the_sparse_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        # one edge keeps the mean degree low, so only the node cap stops
+        # the sparse route, whose arrays would take about 2 GB at this n
+        def unreachable(graph):
+            raise AssertionError(f"the sparse route was reached with n={graph.n}")
+
+        monkeypatch.setattr(graph_core, "_sparse_algebraic_connectivity", unreachable)
+        path = tmp_path / "g.txt"
+        path.write_text("n=4000000\n0 1\n")
+        code = main(["privatize", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n=4000000" in captured.err
+
     def test_graph_above_the_dense_cap_exits_2(self, capsys, tmp_path, monkeypatch):
         from privconn import graph_core
 
@@ -261,7 +276,7 @@ class TestConsensus:
         ],
     )
     def test_bad_grid_exits_2(self, capsys, grid):
-        # csv: the json path would also trip over a nan start in RateErrorQuery
+        # csv: the format that computes least after parsing the grid
         code, _ = run(capsys, self.ARGS + ["--format", "csv", f"--t-grid={grid}"])
         assert code == 2
 

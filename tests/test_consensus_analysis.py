@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath as mp
@@ -8,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privconn import (
-    ConcentrationBound,
     PrivacyParams,
-    RateErrorQuery,
     concentration_bound,
     expected_rate_error,
     rho_terms,
@@ -26,10 +23,8 @@ LAM2, B, N = 1.0, 7.39, 10.0
 
 
 class TestQueryType:
-    def test_holds_what_it_was_given(self):
-        q = RateErrorQuery(t=5.0, a=0.2, eta=0.05)
-        assert (q.t, q.a, q.eta) == (5.0, 0.2, 0.05)
-        assert RateErrorQuery(t=1.0, a=1.0).eta is None
+    """A query's time t, deviation a and ceiling eta are plain numbers,
+    checked by the functions that read them."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,19 +40,31 @@ class TestQueryType:
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            RateErrorQuery(**kwargs)
+        t, a, eta = kwargs["t"], kwargs["a"], kwargs.get("eta", 0.05)
+        if "eta" not in kwargs:  # a bad t or a
+            with pytest.raises(ValueError):
+                concentration_bound(t, a, LAM2, B, N)
+        if t == 1.0:  # a bad a or eta; the settle times take no t
+            with pytest.raises(ValueError):
+                settle_time(LAM2, B, N, a, eta)
+            with pytest.raises(ValueError):
+                worst_case_settle_time(B, N, a, eta)
 
 
 class TestRhoTerms:
     def test_scalar_and_vector_agree(self):
         ts = np.array([0.1, 1.0 / B, 5.0, 40.0])
         vec = rho_terms(ts, LAM2, B, N)
+        bounds = concentration_bound(ts, 0.2, LAM2, B, N)
+        assert bounds.shape == ts.shape
         for i, t in enumerate(ts):
             scal = rho_terms(float(t), LAM2, B, N)
             assert all(isinstance(v, float) for v in scal)
             for got, want in zip(vec, scal):
                 assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
+            bound = concentration_bound(float(t), 0.2, LAM2, B, N)
+            assert isinstance(bound, float)
+            assert bounds[i] == bound
 
     def test_nonpositive_time_raises(self):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -166,39 +173,30 @@ class TestExpectedRateError:
 
 class TestConcentrationBound:
     def test_is_markov_over_the_error(self):
-        q = RateErrorQuery(t=5.0, a=0.2)
-        cb = concentration_bound(q, LAM2, B, N)
-        assert isinstance(cb, ConcentrationBound)
-        assert cb.bound == pytest.approx(
+        bound = concentration_bound(5.0, 0.2, LAM2, B, N)
+        assert bound == pytest.approx(
             expected_rate_error(5.0, LAM2, B, N) / 0.2, rel=1e-14
         )
-        assert (cb.t, cb.a, cb.lambda2, cb.b, cb.n) == (5.0, 0.2, LAM2, B, N)
 
     def test_reports_vacuity_instead_of_clamping(self):
-        tame = concentration_bound(RateErrorQuery(t=40.0, a=0.2), LAM2, B, N)
-        assert tame.bound < 1.0
-        wild = concentration_bound(RateErrorQuery(t=0.01, a=0.01), LAM2, B, N)
-        assert wild.bound > 1.0
-
-    def test_dict_layout(self):
-        d = dataclasses.asdict(concentration_bound(RateErrorQuery(t=5.0, a=0.2), LAM2, B, N))
-        assert list(d) == [
-            "rho1", "rho2", "rho3", "bound", "t", "a", "lambda2", "b", "n",
-        ]
+        tame = concentration_bound(40.0, 0.2, LAM2, B, N)
+        assert tame < 1.0
+        wild = concentration_bound(0.01, 0.01, LAM2, B, N)
+        assert wild > 1.0
 
     def test_empirically_valid_at_modest_sample_size(self):
         """P(|observed - true| >= a) must sit at or under the bound; one
         seeded 20k-draw check, 3 sigma slack."""
-        q = RateErrorQuery(t=5.0, a=0.2)
-        cb = concentration_bound(q, LAM2, B, N)
+        t, a = 5.0, 0.2
+        bound = concentration_bound(t, a, LAM2, B, N)
         rng = np.random.default_rng(7)
         from privconn import BoundedLaplaceDist
 
         draws = BoundedLaplaceDist(LAM2, B, N).sample(rng, size=20_000)
-        err = np.abs(np.exp(-draws * q.t) - math.exp(-LAM2 * q.t))
-        p_hat = float(np.mean(err >= q.a))
+        err = np.abs(np.exp(-draws * t) - math.exp(-LAM2 * t))
+        p_hat = float(np.mean(err >= a))
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / err.size)
-        assert p_hat <= cb.bound + 3.0 * sigma
+        assert p_hat <= bound + 3.0 * sigma
 
 
 class TestSettleTime:
@@ -213,36 +211,27 @@ class TestSettleTime:
     )
     def test_bound_has_decayed_by_the_settle_time(self, lam2, n, a, eta):
         b = 7.39
-        ts = settle_time(RateErrorQuery(t=1.0, a=a, eta=eta), lam2, b, n)
+        ts = settle_time(lam2, b, n, a, eta)
         assert ts > 0.0
         for factor in (1.0, 1.5, 2.0):
-            cb = concentration_bound(
-                RateErrorQuery(t=factor * ts, a=a, eta=eta), lam2, b, n
-            )
-            assert cb.bound <= eta + 1e-9
-
-    def test_requires_a_target(self):
-        with pytest.raises(ValueError):
-            settle_time(RateErrorQuery(t=1.0, a=0.2), LAM2, B, N)
+            assert concentration_bound(factor * ts, a, lam2, b, n) <= eta + 1e-9
 
     def test_zero_rate_never_settles(self):
         with pytest.raises(ValueError):
-            settle_time(RateErrorQuery(t=1.0, a=0.2, eta=0.05), 0.0, B, N)
+            settle_time(0.0, B, N, 0.2, 0.05)
 
     def test_worst_case_dominates_every_grid_rate(self, monkeypatch):
         monkeypatch.setattr(consensus_analysis, "_SETTLE_GRID_POINTS", 2_000)
-        q = RateErrorQuery(t=1.0, a=0.2, eta=0.05)
-        worst = worst_case_settle_time(q, B, N)
+        worst = worst_case_settle_time(B, N, 0.2, 0.05)
         rng = np.random.default_rng(3)
         for _ in range(50):
             lam2 = float(rng.uniform(N / 2_000, N))
-            assert settle_time(q, lam2, B, N) <= worst + 1e-9
+            assert settle_time(lam2, B, N, 0.2, 0.05) <= worst + 1e-9
 
     def test_worst_case_includes_the_midpoint_kink(self, monkeypatch):
         monkeypatch.setattr(consensus_analysis, "_SETTLE_GRID_POINTS", 500)
-        q = RateErrorQuery(t=1.0, a=0.2, eta=0.05)
-        worst = worst_case_settle_time(q, B, N)
-        assert settle_time(q, N / 2.0, B, N) <= worst + 1e-9
+        worst = worst_case_settle_time(B, N, 0.2, 0.05)
+        assert settle_time(N / 2.0, B, N, 0.2, 0.05) <= worst + 1e-9
 
     @pytest.mark.parametrize("grid_points", [2, 3, 500, 10_000])
     @pytest.mark.parametrize("n", [2, 3, 10, 1000, 1e4])
@@ -256,16 +245,15 @@ class TestSettleTime:
         for eps in (0.05, 0.4, 2.0):
             b = solve_scale_b(PrivacyParams(epsilon=eps, delta=0.05), float(n))
             for a, eta in ((0.2, 0.05), (1.0, 0.01), (0.05, 0.5)):
-                q = RateErrorQuery(t=1.0, a=a, eta=eta)
-                sweep = max(settle_time(q, float(lam), b, n) for lam in rates)
-                assert worst_case_settle_time(q, b, n) == sweep
+                sweep = max(settle_time(float(lam), b, n, a, eta) for lam in rates)
+                assert worst_case_settle_time(b, n, a, eta) == sweep
 
     @pytest.mark.parametrize(
         "b, n", [(7.5, 0.0), (7.5, math.inf), (math.nan, 10.0), (7.5, math.nan)]
     )
     def test_worst_case_rejects_a_bad_scale_or_width(self, b, n):
         with pytest.raises(ValueError):
-            worst_case_settle_time(RateErrorQuery(t=1.0, a=0.1, eta=0.1), b, n)
+            worst_case_settle_time(b, n, 0.1, 0.1)
 
     @given(
         n=st.floats(2.0, 1e5),
@@ -278,10 +266,9 @@ class TestSettleTime:
     def test_falls_up_to_the_midpoint_then_rises(self, n, b, a, eta, fracs):
         """Why two end values are the worst case: the settle time does not
         rise on (0, n/2] and does not fall on [n/2, n]."""
-        q = RateErrorQuery(t=1.0, a=a, eta=eta)
         fracs = sorted(fracs)
-        lower = [settle_time(q, f * n / 2.0, b, n) for f in fracs]
-        upper = [settle_time(q, n / 2.0 + f * n / 2.0, b, n) for f in [0.0] + fracs]
+        lower = [settle_time(f * n / 2.0, b, n, a, eta) for f in fracs]
+        upper = [settle_time(n / 2.0 + f * n / 2.0, b, n, a, eta) for f in [0.0] + fracs]
         slack = 1e-12
         assert all(y <= x * (1.0 + slack) for x, y in zip(lower, lower[1:]))
         assert all(y >= x * (1.0 - slack) for x, y in zip(upper, upper[1:]))

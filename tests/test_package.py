@@ -39,8 +39,6 @@ EXPORTED = {
     "delta_C",
     "solve_scale_b",
     "privatize",
-    "RateErrorQuery",
-    "ConcentrationBound",
     "rho_terms",
     "expected_rate_error",
     "concentration_bound",
@@ -64,8 +62,8 @@ EXPORTED = {
 }
 
 
-def test_exports_the_forty_three_public_names_once():
-    assert len(EXPORTED) == 43
+def test_exports_the_forty_one_public_names_once():
+    assert len(EXPORTED) == 41
     assert len(privconn.__all__) == len(set(privconn.__all__))
     assert set(privconn.__all__) == EXPORTED
 

@@ -226,6 +226,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             exact_value_attack(4, 0.0, known_present=((0, 1),), known_absent=((1, 0),))
 
+    @pytest.mark.parametrize("edge", [(2, 2), (0, 4), (-1, 2)])
+    @pytest.mark.parametrize("side", ["known_present", "known_absent"])
+    def test_bad_knowledge_edge_raises(self, side, edge):
+        with pytest.raises(ValueError):
+            exact_value_attack(4, 1.0, **{side: [edge]})
+        with pytest.raises(ValueError):
+            attack_under_noise(4, 1.0, 6.8, **{side: [edge]})
+
     def test_size_limit(self):
         with pytest.raises(ValueError):
             exact_value_attack(7, 0.0)
