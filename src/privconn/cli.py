@@ -33,6 +33,7 @@ from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
     _MAX_ENUMERATION_N,
     _MAX_SENSITIVITY_N,
+    _check_tail_audits,
     attack_under_noise,
     audit_concentration,
     audit_dp,
@@ -239,6 +240,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_validate(args) -> int:
     params = _params(args)
     t_grid = _parse_grid(args.t_grid, "t grid")
+    # a bad tail-audit argument exits before the exhaustive scan and the draws
+    _check_tail_audits(args.lambda2, float(args.n), t_grid, args.a, args.conc_trials, args.exp_trials)
     audit = {}
     failed = False
     if args.n <= _MAX_SENSITIVITY_N:

@@ -5,13 +5,16 @@ works from this module's Laplacian spectrum and combinatorial oracles, so
 the routines here favor exactness over scale: dense eigensolves with a
 certificate, and Seidel's all-pairs algorithm for the exact distances.
 
-There is one eigenvalue certificate: an eigenvalue's index, proved by
-Sylvester's law of inertia. algebraic_connectivity returns lambda2 alone,
-within 1e-9 by index: from a dense eigenvalue-only solve checked by two
-Cholesky inertia tests, or, on large sparse graphs, from a preconditioned
-LOBPCG estimate checked by a sparse pivot count below and a Rayleigh
-bound above. Its docstring says what each check proves. spectrum runs the
-same dense solve and tests, certifies lambda_n the same way, and returns
+algebraic_connectivity returns lambda2 alone, within 1e-9, with two
+one-sided certificates. From below, an eigenvalue's index, by Sylvester's
+law of inertia; from above, a Rayleigh bound, which both routes share.
+Dense: an eigenvalue-only solve gives r, one Cholesky at r - 1e-9 proves
+the lower side up to backward error, and one inverse-iteration solve with
+that factor gives the vector whose Rayleigh bound proves the upper side.
+Sparse, on large sparse graphs: a preconditioned LOBPCG estimate, a
+sparse pivot count below and the Rayleigh bound of its vector above. Its
+docstring says what each check proves. spectrum runs the same dense
+solve and checks, certifies lambda_n by two inertia tests, and returns
 those two values alone.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
@@ -88,9 +91,24 @@ _DENSE_MAX_N = 13_000
 # on random 8-regular graphs, whose lambda2 has close neighbours
 _LOBPCG_MAXITER = 400
 
-# relative inflation of the sparse route's Rayleigh bound: the fsum-based
-# quotient of a centred vector is within about 4.5 eps of the exact one
-_RAYLEIGH_MARGIN = 16 * np.finfo(float).eps
+# edge terms per plain numpy sum in _rayleigh_bound, whose block sums fsum
+# adds: a sum of k nonnegative terms in any order is within (k - 1) u of
+# exact, relative (Higham, Accuracy and Stability, 4.2). An fsum over
+# every term took 10 ms on the 180,000 edges of K_600 minus an edge, this
+# about 1 ms
+_SUM_BLOCK = 32
+
+# relative inflation of the Rayleigh bound: the quotient of a centred
+# vector is within about (4.5 + _SUM_BLOCK / 2) eps of the exact one
+_RAYLEIGH_MARGIN = (16 + _SUM_BLOCK) * np.finfo(float).eps
+
+# inverse-iteration steps the dense route's upper check may take; one has
+# certified every graph tried, the rest cover close neighbours of lambda2
+_INVERSE_STEPS = 3
+
+# rows per diagonal block of _cholesky_solve: 32 to 64 were fastest at
+# n = 1,024 on a 2-core Xeon, 16 and 128 slower
+_SOLVE_BLOCK = 32
 
 
 # the bytes from_edge_list's array path accepts after the header line:
@@ -312,12 +330,13 @@ def spectrum(graph: Graph) -> SpectralSummary:
     """lambda2 and lambda_n, each certified by index to within 1e-9.
 
     It runs algebraic_connectivity's dense route, which certifies lambda2
-    to within tol = 1e-9, and certifies lambda_n the same way on
+    to within tol = 1e-9, and certifies lambda_n by inertia on
     sigma I - L, which is positive definite iff lambda_n < sigma: a
     Cholesky factorization that succeeds at lambda_n + tol and fails at
-    lambda_n - tol puts lambda_n within tol of its value, up to the same
-    backward error. The first test is skipped when lambda_n snaps to n,
-    above which no eigenvalue lies. Graphs above 13,000 nodes are refused
+    lambda_n - tol puts lambda_n within tol of its value, up to the
+    factorizations' backward error; the failing one is a heuristic. The
+    first test is skipped when lambda_n snaps to n, above which no
+    eigenvalue lies. Graphs above 13,000 nodes are refused
     before anything is built, as on that route.
 
     Raises:
@@ -330,15 +349,15 @@ def spectrum(graph: Graph) -> SpectralSummary:
 
 
 def algebraic_connectivity(graph: Graph) -> float:
-    """lambda2 alone, certified by index to within 1e-9.
+    """lambda2 alone, certified to within 1e-9.
 
     A graph above 500,000 nodes is refused on n alone, before either
     route starts. A graph with more than 1024 nodes and mean degree at most 8 takes the
     sparse route below; every other graph takes the dense one. Either way
     an estimate within tol = 1e-9 of 0 or n is snapped onto that end of
-    the range, and the value r so obtained is then certified by
-    Sylvester's law of inertia (spectrum slicing; Parlett, The Symmetric
-    Eigenvalue Problem).
+    the range, and the value r so obtained is then certified from below
+    by Sylvester's law of inertia (spectrum slicing; Parlett, The
+    Symmetric Eigenvalue Problem) and from above by a Rayleigh bound.
 
     Dense: the estimate is the second eigenvalue from a dense symmetric
     solve that computes no eigenvectors. With s above every eigenvalue,
@@ -348,14 +367,18 @@ def algebraic_connectivity(graph: Graph) -> float:
 
     moves the constant null vector of L to s - sigma and leaves
     lambda_i - sigma for i >= 2, so it is positive definite iff
-    lambda2 > sigma. A Cholesky factorization that succeeds at r - tol
-    and fails at r + tol therefore proves lambda2 in [r - tol, r + tol],
-    up to the factorization's backward error, about n eps ||M|| with
-    ||M|| <= lambda_n + 1 <= n + 1. So it is a proof while n (lambda_n + 1)
-    stays well below tol / eps ~ 9e6 (5e3 for a 1024-node path, 4e5 for
-    K_600); at K_3000 it reaches 9e6, and there the check is only a
-    heuristic. Graphs above 13,000 nodes are refused here, before the
-    24 n^2 bytes it needs are allocated.
+    lambda2 > sigma. One Cholesky factorization C of M(r - tol) proves
+    lambda2 >= r - tol, up to its backward error, about n eps ||M|| with
+    ||M|| <= lambda_n + 1 <= n + 1: a proof while n (lambda_n + 1) stays
+    well below tol / eps ~ 9e6 (5e3 for a 1024-node path, 4e5 for
+    K_600); at K_3000 it reaches 9e6, and there it is only a heuristic.
+    The least eigenvalue of M(r - tol) is lambda2 - r + tol, about tol,
+    so one solve with C C^T from a fixed start (a step of inverse
+    iteration) leaves a vector close to lambda2's eigenspace, and the
+    Rayleigh bound below proves lambda2 <= r + tol (a proof, however
+    inexact the solve). When it does not, up to three steps are taken
+    before the check fails. Graphs above 13,000 nodes are refused here,
+    before the 24 n^2 bytes the route needs are allocated.
 
     Sparse: the rank-one term would fill a sparse matrix, so it is applied
     as an operator, x -> L x + (n + 1) mean(x) 1, whose least eigenvalue
@@ -381,9 +404,11 @@ def algebraic_connectivity(graph: Graph) -> float:
     within the dense route's node cap is solved again on the dense route;
     a larger one raises.
 
-    On both routes the lower test is skipped when r - tol <= 0, because
-    L is positive semidefinite, and the dense upper one when r + tol >= n,
-    because no Laplacian eigenvalue of an n-node graph exceeds n.
+    The lower side needs no test when r - tol <= 0, because L is
+    positive semidefinite: the sparse route skips it, and the dense one
+    still factors M(-tol), which its upper check needs. The dense upper
+    check is skipped when r + tol >= n, because no Laplacian eigenvalue
+    of an n-node graph exceeds n.
 
     Raises:
         ValueError: for a single node, a graph above 500,000 nodes, or a
@@ -408,8 +433,8 @@ def algebraic_connectivity(graph: Graph) -> float:
 
 def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.ndarray:
     """Every Laplacian eigenvalue from one eigvalsh, snapped, with lambda2
-    certified by index and, if asked, lambda_n; see algebraic_connectivity
-    and spectrum."""
+    certified from both sides and, if asked, lambda_n; see
+    algebraic_connectivity and spectrum."""
     n = graph.n
     if n < 2:
         raise ValueError(f"{what} requires at least 2 nodes")
@@ -434,20 +459,23 @@ def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.nd
         # place, and back, keeps to the route's three n x n arrays
         degrees = L.diagonal().copy()
         L *= -1.0
-        if top + tol < n and not _positive_definite(L, -degrees, -(top + tol)):
+        if top + tol < n and _cholesky(L, -degrees, -(top + tol)) is None:
             raise NumericalError(f"inertia check: lambda_n is above {top!r} + {tol:.3e}")
-        if _positive_definite(L, -degrees, -(top - tol)):
+        if _cholesky(L, -degrees, -(top - tol)) is not None:
             raise NumericalError(f"inertia check: lambda_n is below {top!r} - {tol:.3e}")
         L *= -1.0
         np.fill_diagonal(L, degrees)
-    # L becomes M(0) in place: the constant vector's eigenvalue 0 moves to
-    # s = lambda_n + 1, above r + tol
+    # L becomes M(r - tol) in place: the constant vector's eigenvalue 0
+    # moves to s - r + tol >= 1 + tol. Its factor proves the lower side
+    # and drives the upper one; at r = 0 it only supplies the factor
     L += s / n
-    diag = L.diagonal().copy()
-    if r - tol > 0.0 and not _positive_definite(L, diag, r - tol):
+    C = _cholesky(L, L.diagonal().copy(), r - tol)
+    # the upper check needs only the factor
+    del L
+    if C is None:
         raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
-    if r + tol < n and _positive_definite(L, diag, r + tol):
-        raise NumericalError(f"inertia check: lambda2 is above {r!r} + {tol:.3e}")
+    if r + tol < n:
+        _certify_upper(graph.pairs, C, r)
     return w
 
 
@@ -545,31 +573,81 @@ def _rayleigh_bound(pairs: np.ndarray, x: np.ndarray) -> float:
     The largest Rayleigh quotient over span{1, x} is the quotient of x
     with its mean removed, so by Courant-Fischer it bounds lambda2. The
     vector y = x - mean is rounded, but the formula holds for y itself
-    with y's exact mean, which the last fsum term accounts for. Every sum
-    is an fsum (correctly rounded), so the computed quotient is within
-    about 4.5 eps of the exact one; it is inflated by _RAYLEIGH_MARGIN. A
-    constant vector bounds nothing and gives inf.
+    with y's exact mean, which the last fsum term accounts for. The node
+    sums are fsums (correctly rounded); the edge terms, all nonnegative,
+    are summed _SUM_BLOCK at a time by numpy and the block sums by fsum.
+    So the computed quotient is within about (4.5 + _SUM_BLOCK / 2) eps
+    of the exact one; it is inflated by _RAYLEIGH_MARGIN. A constant
+    vector bounds nothing and gives inf.
     """
     n = len(x)
     y = x - math.fsum(x.tolist()) / n
-    d = y[pairs[:, 0]] - y[pairs[:, 1]]
     s1 = math.fsum(y.tolist())
     spread = math.fsum((y * y).tolist()) - s1 * s1 / n
     if not spread > 0.0:
         return math.inf
-    return math.fsum((d * d).tolist()) / spread * (1.0 + _RAYLEIGH_MARGIN)
+    # zero-padded to whole blocks
+    terms = np.zeros(-(-len(pairs) // _SUM_BLOCK) * _SUM_BLOCK)
+    np.subtract(y[pairs[:, 0]], y[pairs[:, 1]], out=terms[: len(pairs)])
+    terms *= terms
+    energy = math.fsum(terms.reshape(-1, _SUM_BLOCK).sum(axis=1).tolist())
+    return energy / spread * (1.0 + _RAYLEIGH_MARGIN)
 
 
-def _positive_definite(M: np.ndarray, diag: np.ndarray, shift: float) -> bool:
-    """Whether M - shift I, with diag the diagonal of M, has a Cholesky factor."""
+def _cholesky(M: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
+    """The lower Cholesky factor of M - shift I, with diag the diagonal
+    of M, or None where it has none."""
     np.fill_diagonal(M, diag - shift)
     try:
         # M is exactly symmetric; its transpose is the column-major view
         # LAPACK takes without a transposing copy (see _dense_eigenvalues)
-        np.linalg.cholesky(M.T)
+        return np.linalg.cholesky(M.T)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+
+
+def _certify_upper(pairs: np.ndarray, C: np.ndarray, r: float) -> None:
+    """Raise unless a Rayleigh bound puts lambda2 at most r + tol.
+
+    C is the Cholesky factor of M(r - tol), whose least eigenvalue
+    lambda2 - r + tol is about tol, while the others are lambda_i - r + tol
+    for i >= 3 and s - r + tol >= 1. A solve with C C^T (a step of inverse
+    iteration) scales lambda2's eigenspace up against the rest by their
+    ratio, and _rayleigh_bound makes the result a proof however inexact
+    the solve was. The start sin(1..n) is fixed, so the check repeats bit
+    for bit, and does not need numpy.random (5.6 MB of RSS to import).
+    One step certified every graph on n <= 6 and every benchmark member.
+    """
+    tol = _LAMBDA2_TOL
+    x = np.sin(np.arange(1.0, len(C) + 1.0))
+    for _ in range(_INVERSE_STEPS):
+        x = _cholesky_solve(C, x)
+        x /= np.abs(x).max()
+        q = _rayleigh_bound(pairs, x)
+        if q <= r + tol:
+            return
+    raise NumericalError(f"Rayleigh check: lambda2 may be above {r!r} + {tol:.3e} (bound {q!r})")
+
+
+def _cholesky_solve(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(C C^T)^-1 x for a lower-triangular C, by blocked substitution.
+
+    numpy has no triangular solve and the dense route does not import
+    scipy, so each diagonal block of _SOLVE_BLOCK rows goes to
+    np.linalg.solve after one matrix-vector product with the rows or
+    columns already solved: forward through C, then back through C^T.
+    About 1 ms at n = 1,024 on a 2-core Xeon, against 6-13 ms for the
+    factorization.
+    """
+    z = x.copy()
+    starts = range(0, len(z), _SOLVE_BLOCK)
+    for i in starts:
+        j = i + _SOLVE_BLOCK
+        z[i:j] = np.linalg.solve(C[i:j, i:j], z[i:j] - C[i:j, :i] @ z[:i])
+    for i in reversed(starts):
+        j = i + _SOLVE_BLOCK
+        z[i:j] = np.linalg.solve(C[i:j, i:j].T, z[i:j] - z[j:] @ C[j:, i:j])
+    return z
 
 
 def _all_pairs_distances(graph: Graph) -> np.ndarray:

@@ -305,6 +305,34 @@ def audit_dp(
     )
 
 
+def _check_tail_audits(lambda2: float, n: float, t_grid, a: float, conc_trials: int, exp_trials: int) -> None:
+    """Raise what audit_concentration and audit_expectations would raise on
+    these arguments, without a draw; validate calls it before any audit.
+
+    Their scale is left out, because audit_dp solves it; every check here
+    passes or fails alike at any valid scale, so a unit scale stands in.
+    """
+    _concentration_bounds(lambda2, 1.0, n, t_grid, a, conc_trials)
+    _check_expectation_trials(exp_trials)
+
+
+def _concentration_bounds(lambda2: float, b: float, n: float, t_grid, a: float, trials: int):
+    """audit_concentration's argument checks, then the times as an array
+    and the bound at each time as a list."""
+    if trials < 10_000:
+        raise ValueError("need at least 1e4 draws per grid point")
+    t_arr = np.asarray(t_grid, dtype=float)
+    if t_arr.ndim != 1 or t_arr.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d sequence of times")
+    # checks a, lambda2 and every time
+    return t_arr, concentration_bound(t_arr, a, lambda2, b, float(n)).tolist()
+
+
+def _check_expectation_trials(trials: int) -> None:
+    if trials < 1_000_000:
+        raise ValueError("need at least 1e6 draws to resolve the means")
+
+
 def audit_concentration(
     lambda2: float,
     b: float,
@@ -325,13 +353,7 @@ def audit_concentration(
     certified success floor 1 - bound (negative where the bound is
     vacuous; reported as computed).
     """
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 draws per grid point")
-    t_arr = np.asarray(t_grid, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d sequence of times")
-    # checks a and every time before any draw
-    bounds = concentration_bound(t_arr, a, lambda2, b, float(n)).tolist()
+    t_arr, bounds = _concentration_bounds(lambda2, b, n, t_grid, a, trials)
     dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = []
@@ -387,8 +409,7 @@ def audit_expectations(
     the mean and standard error agree with numpy's one-shot mean and
     std(ddof=1) to rounding (a few 1e-16 relative).
     """
-    if trials < 1_000_000:
-        raise ValueError("need at least 1e6 draws to resolve the means")
+    _check_expectation_trials(trials)
     dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t_probe = 1.0

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -179,16 +176,7 @@ class TestPrivatize:
         assert code == 2
         assert err.startswith("error: ") and "n=4 nodes needs about 384 bytes" in err
 
-    @staticmethod
-    def _python(script):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-
-    def test_release_path_does_not_load_scipy(self, tmp_path):
+    def test_release_path_does_not_load_scipy(self, tmp_path, fresh_python):
         # a 1024-node path is sparse but not above the sparse route's node
         # cutoff, so it stays dense and scipy stays unloaded
         diamond, path1024 = tmp_path / "g.txt", tmp_path / "p.txt"
@@ -201,10 +189,10 @@ class TestPrivatize:
             "    assert code == 0, code\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
-        proc = self._python(script)
+        proc = fresh_python(script)
         assert proc.returncode == 0, proc.stderr
 
-    def test_report_commands_do_not_load_scipy_optimize(self):
+    def test_report_commands_do_not_load_scipy_optimize(self, fresh_python):
         # the scale and base searches use the package's own root-finder;
         # importing scipy.optimize would add about 0.23 s to every command
         script = (
@@ -218,10 +206,10 @@ class TestPrivatize:
             "    assert privconn.cli.main(argv) == 0, argv\n"
             "assert 'scipy.optimize' not in sys.modules\n"
         )
-        proc = self._python(script)
+        proc = fresh_python(script)
         assert proc.returncode == 0, proc.stderr
 
-    def test_sparse_release_repeats_across_interpreters(self, capsys, tmp_path):
+    def test_sparse_release_repeats_across_interpreters(self, capsys, tmp_path, fresh_python):
         # the 2048-node cycle takes the sparse route; its fixed start vector
         # and restart generator make every process release the same value
         path = tmp_path / "c.txt"
@@ -230,7 +218,7 @@ class TestPrivatize:
         script = f"import sys, privconn.cli\nsys.exit(privconn.cli.main({argv!r}))\n"
         released = []
         for _ in range(2):
-            proc = self._python(script)
+            proc = fresh_python(script)
             assert proc.returncode == 0, proc.stderr
             released.append(json.loads(proc.stdout)["results"]["lambda2_tilde"])
         code, rep = run_json(capsys, argv)
@@ -426,6 +414,28 @@ class TestValidate:
             capsys, ["validate", "--n", "5"] + self.FAST + ["--t-grid", "1:inf:5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--a", "0", "deviation threshold must be positive and finite, got 0.0"),
+            ("--lambda2", "-1", "lambda2 = -1.0 outside the support [0, 5.0]"),
+            ("--conc-trials", "10", "need at least 1e4 draws per grid point"),
+            ("--exp-trials", "10", "need at least 1e6 draws to resolve the means"),
+        ],
+        ids=["a", "lambda2", "conc-trials", "exp-trials"],
+    )
+    def test_bad_tail_argument_exits_2_before_any_audit(self, capsys, monkeypatch, flag, value, message):
+        # the concentration and expectation audits run last; their
+        # arguments are checked before the exhaustive scan and the draws
+        def refuse(*args, **kwargs):
+            raise AssertionError("an audit ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "audit_sensitivity", refuse)
+        monkeypatch.setattr(cli, "audit_dp", refuse)
+        code = main(["validate", "--n", "5", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_weakened_mechanism_exits_5(self, capsys):
         code, rep = run_json(

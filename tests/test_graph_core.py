@@ -451,15 +451,21 @@ class TestAlgebraicConnectivity:
         assert algebraic_connectivity(_graph(6, two_triangles)) == 0.0
 
     @pytest.mark.parametrize(
-        "index, sign, side",
-        [(1, 1.0, "below"), (1, -1.0, "above"), (-1, 1.0, "below"), (-1, -1.0, "above")],
+        "index, sign, message",
+        [
+            (1, 1.0, "inertia check: lambda2 is below"),
+            (1, -1.0, "Rayleigh check: lambda2 may be above"),
+            (-1, 1.0, "inertia check: lambda_n is below"),
+            (-1, -1.0, "inertia check: lambda_n is above"),
+        ],
         ids=["1.0-below", "-1.0-above", "lambda_n-below", "lambda_n-above"],
     )
-    def test_inertia_rejects_a_shifted_estimate(self, monkeypatch, index, sign, side):
+    def test_inertia_rejects_a_shifted_estimate(self, monkeypatch, index, sign, message):
         # lambda2 of C_64 (0.0096, a double eigenvalue) and lambda_n (4,
         # simple) are far from both ends of [0, 64], so no snap absorbs the
-        # shift: a value 2 tol too high fails the lower inertia test, one
-        # 2 tol too low the upper
+        # shift: a lambda2 2 tol too high fails the inertia test below, one
+        # 2 tol too low the Rayleigh bound above; lambda_n fails its inertia
+        # tests either way
         tol = _LAMBDA2_TOL
         eigvalsh = np.linalg.eigvalsh
 
@@ -471,27 +477,86 @@ class TestAlgebraicConnectivity:
         g = _graph(64, _cycle_edges(64))
         assert spectrum(g).lambda_n == pytest.approx(4.0, abs=tol)
         monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-        name, solvers = ("lambda2", (spectrum, algebraic_connectivity)) if index == 1 else ("lambda_n", (spectrum,))
+        solvers = (spectrum, algebraic_connectivity) if index == 1 else (spectrum,)
         for solve in solvers:
-            with pytest.raises(NumericalError, match=f"inertia check: {name} is {side}"):
+            with pytest.raises(NumericalError, match=message):
                 solve(g)
 
-    def test_dense_route_skips_the_upper_test_at_n(self, monkeypatch):
-        # every Laplacian eigenvalue of a 7-node graph is at most 7, so once
-        # K_7's estimate snaps to 7 there is nothing above it to rule out
-        shifts = []
-        positive_definite = graph_core._positive_definite
+    @staticmethod
+    def _count_dense_work(monkeypatch):
+        """Record the shift of each dense factorization, count the calls to
+        np.linalg.cholesky and the Rayleigh bounds taken."""
+        shifts, factored, bounds = [], [], []
+        cholesky, factor, rayleigh_bound = graph_core._cholesky, np.linalg.cholesky, graph_core._rayleigh_bound
 
-        def counted(M, diag, shift):
+        def counted_shift(M, diag, shift):
             shifts.append(shift)
-            return positive_definite(M, diag, shift)
+            return cholesky(M, diag, shift)
 
-        monkeypatch.setattr(graph_core, "_positive_definite", counted)
+        def counted_factor(M):
+            factored.append(len(M))
+            return factor(M)
+
+        def counted_bound(pairs, x):
+            bounds.append(rayleigh_bound(pairs, x))
+            return bounds[-1]
+
+        monkeypatch.setattr(graph_core, "_cholesky", counted_shift)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_factor)
+        monkeypatch.setattr(graph_core, "_rayleigh_bound", counted_bound)
+        return shifts, factored, bounds
+
+    def test_dense_route_skips_the_upper_test_at_n(self, monkeypatch):
+        # one factorization per dense lambda2, at r - tol; every Laplacian
+        # eigenvalue of a 7-node graph is at most 7, so once K_7's estimate
+        # snaps to 7 there is nothing above it to rule out and no Rayleigh
+        # bound is taken
+        shifts, factored, bounds = self._count_dense_work(monkeypatch)
         assert algebraic_connectivity(_graph(7, oc.edge_slots(7))) == 7.0
-        assert shifts == [7.0 - _LAMBDA2_TOL]
+        assert (shifts, factored, bounds) == ([7.0 - _LAMBDA2_TOL], [7], [])
         shifts.clear()
+        factored.clear()
         assert algebraic_connectivity(C4) == pytest.approx(2.0, abs=_LAMBDA2_TOL)
-        assert len(shifts) == 2
+        assert shifts == [pytest.approx(2.0 - _LAMBDA2_TOL, abs=1e-12)]
+        assert factored == [4] and len(bounds) == 1
+
+    def test_disconnected_dense_graph_is_exactly_zero(self, monkeypatch):
+        # two disjoint K_500: lambda2 = 0 is a double eigenvalue next to
+        # lambda_n = 500; the factor at -tol exists, and the Rayleigh bound
+        # it drives stays below tol
+        k500 = np.array(oc.edge_slots(500))
+        g = Graph(1000, np.concatenate([k500, k500 + 500]))
+        shifts, factored, bounds = self._count_dense_work(monkeypatch)
+        assert algebraic_connectivity(g) == 0.0
+        assert (shifts, factored) == ([-_LAMBDA2_TOL], [1000])
+        assert len(bounds) == 1 and bounds[0] <= _LAMBDA2_TOL
+
+    @pytest.mark.parametrize(
+        "edges, n, want",
+        [([(0, i) for i in range(1, 512)], 512, 1.0), (_hypercube_edges(10), 1024, 2.0)],
+        ids=["star512", "hypercube10"],
+    )
+    def test_multiple_lambda2_certifies_in_one_step(self, monkeypatch, edges, n, want):
+        # lambda2 has multiplicity 510 on the star and 10 on the hypercube;
+        # any vector in the eigenspace bounds it, so one inverse-iteration
+        # step from the fixed start suffices
+        shifts, factored, bounds = self._count_dense_work(monkeypatch)
+        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=_LAMBDA2_TOL)
+        assert factored == [n] and len(bounds) == 1
+
+    def test_dense_route_loads_neither_scipy_nor_numpy_random(self, fresh_python):
+        # importing numpy.random costs about 5.6 MB of RSS; the dense
+        # route's start vector must not come from it
+        script = (
+            "import sys\n"
+            "from privconn import Graph, algebraic_connectivity\n"
+            "g = Graph(1024, [(i, i + 1) for i in range(1023)])\n"
+            "assert abs(algebraic_connectivity(g) - 9.41238e-06) < 1e-10\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random')))\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_rayleigh_bound_covers_the_exact_quotient(self):
         # the exact quotient of each rounded vector, over its exact mean, in
