@@ -31,8 +31,10 @@ from .graph_core import from_edge_list, spectrum
 from .privacy_mechanism import PrivacyParams, _release, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
+    _MAX_BINS,
     _MAX_ENUMERATION_N,
     _MAX_SENSITIVITY_N,
+    _check_dp_audit,
     _check_tail_audits,
     attack_under_noise,
     audit_concentration,
@@ -240,7 +242,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_validate(args) -> int:
     params = _params(args)
     t_grid = _parse_grid(args.t_grid, "t grid")
-    # a bad tail-audit argument exits before the exhaustive scan and the draws
+    # a bad audit argument exits before the exhaustive scan and the draws
+    _check_dp_audit(args.n, args.samples_per_graph, args.pairs, args.bins, args.scale_factor)
     _check_tail_audits(args.lambda2, float(args.n), t_grid, args.a, args.conc_trials, args.exp_trials)
     audit = {}
     failed = False
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument("--samples-per-graph", type=int, default=200_000, help="draws per graph")
     p.add_argument("--pairs", type=int, default=20, help="random adjacent pairs")
-    p.add_argument("--bins", type=int, default=50, help="histogram bins")
+    p.add_argument("--bins", type=int, default=50, help=f"histogram bins (2 to {_MAX_BINS:,})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--scale-factor",

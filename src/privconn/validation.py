@@ -17,7 +17,7 @@ Four audits:
     the planning operations (draw, its inverse square root, the rate
     error at t = 1).
 
-The sampled audits draw in blocks of 2^15 from one generator and keep
+The sampled audits draw in blocks of 2^15 from a seeded stream and keep
 only what they sum: histogram counts, exceedance counts, and a running
 mean and sum of squared deviations per quantity, merged block by block
 as in Chan, Golub & LeVeque ("Algorithms for computing the sample
@@ -26,7 +26,13 @@ trials. Generator.random fills consecutive blocks from the stream a
 one-shot call would read, so the draws are a one-shot draw's, cut into
 pieces, unless rng.random returns exactly 0.0 (probability 2^-53 per
 draw): sample redraws such zeros at the end of their block, so the
-stream shifts from there on.
+stream shifts from there on. audit_concentration and audit_expectations
+read one stream each. audit_dp gives every graph of every pair its own
+stream, seeded in a fixed order, and runs the streams on a pool of
+threads, one per usable CPU, each worker with one block in flight;
+numpy releases the interpreter lock while it draws, transforms and sorts.
+The counts are exact integers summed per stream, so its report does not
+depend on the CPU count.
 
 The attack side shows why the noise is needed: exact_value_attack lists
 every graph consistent with partial edge knowledge and a published
@@ -56,6 +62,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -90,9 +98,13 @@ _MAX_SENSITIVITY_N = 5
 _MAX_ENUMERATION_N = 6
 # Draws per block of the sampled audits, and the log2 of the completions
 # per block of the attacks' inertia tests. Each bounds what a block
-# allocates, and each was as fast as one shot or faster in process.
+# allocates, and each was as fast as one shot or faster in process. The
+# DP audit holds one draw block per worker thread.
 _DRAW_BLOCK = 1 << 15
 _MASK_BLOCK_BITS = 12
+# The DP audit's histogram bins over [0, n]; the bin edges are allocated
+# before any draw.
+_MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,26 @@ def _adjacent_pairs(n: int, A: int, pairs: int, rng: np.random.Generator):
         yield edges, edges2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool, fn, jobs, window: int):
+    """fn(*job) for each job, in job order, run on pool with at most window
+    jobs submitted and not yet collected."""
+    pending = deque()
+    for job in jobs:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, *job))
+    while pending:
+        yield pending.popleft().result()
+
+
 def _distinguish(p_hat: np.ndarray, q_hat: np.ndarray, eps: float, delta: float, trials: int) -> float:
     """Violation score for the best histogram event separating p from q.
 
@@ -242,51 +274,63 @@ def audit_dp(
     distinguishing event.
 
     For each pair the release law is estimated with samples_per_graph
-    draws per graph on a `bins`-bin histogram over [0, n], and the best
-    separating event is scored in both directions. The counts are summed
-    over blocks of draws (see the module docstring), so memory does not
-    grow with samples_per_graph. scale_factor
-    multiplies the solved scale: 1.0 audits the mechanism as shipped,
-    values below 1 build the negative control the audit is expected to
-    catch.
+    draws per graph on a `bins`-bin histogram over [0, n] (at most
+    10,000 bins), and the best separating event is scored in both
+    directions. scale_factor multiplies the solved scale: 1.0 audits the
+    mechanism as shipped, values below 1 build the negative control the
+    audit is expected to catch.
+
+    The pairs' centres and their generators' seeds are taken on the
+    calling thread, in a fixed order. Each graph's stream then runs on a
+    pool of worker threads, one per usable CPU, which sums its histogram
+    counts block by block (see the module docstring); at most two streams
+    per worker are submitted and not yet collected, so memory grows
+    neither with samples_per_graph nor with pairs. The report does not
+    depend on the CPU count.
+
+    Raises:
+        ValueError: on an argument _check_dp_audit refuses.
     """
-    if not 2 <= n <= _MAX_ENUMERATION_N:
-        raise ValueError(f"audit supports 2 <= n <= {_MAX_ENUMERATION_N}")
-    if samples_per_graph < 100_000:
-        raise ValueError("need at least 1e5 samples per graph to resolve the histograms")
-    if pairs < 0:
-        raise ValueError(f"extra random pair count must be >= 0, got {pairs}")
-    if bins < 2:
-        raise ValueError(f"need at least 2 histogram bins, got {bins}")
-    if scale_factor <= 0.0:
-        raise ValueError(f"scale factor must be positive, got {scale_factor}")
+    _check_dp_audit(n, samples_per_graph, pairs, bins, scale_factor)
+    # imported here: it would add about 3 ms to every command's import
+    from concurrent.futures import ThreadPoolExecutor
+
     b = solve_scale_b(params, float(n)) * scale_factor
     root = np.random.SeedSequence(seed)
     pair_rng = np.random.default_rng(root.spawn(1)[0])
+    bin_edges = np.linspace(0.0, float(n), bins + 1)
+
+    def jobs():
+        # on the calling thread, so the centres and seeds come in one order
+        for pair in _adjacent_pairs(n, params.A, pairs, pair_rng):
+            centres = [_lambda2_of_edges(n, graph_edges) for graph_edges in pair]
+            yield from zip(centres, root.spawn(2))
+
+    def stream(center, seed_seq):
+        dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=float(n))
+        rng = np.random.default_rng(seed_seq)
+        counts = sum(
+            np.histogram(draws, bins=bin_edges)[0] for draws in _draws(dist, rng, samples_per_graph)
+        )
+        return center, counts / samples_per_graph
+
     per_pair = []
     worst = -math.inf
-    edges = np.linspace(0.0, float(n), bins + 1)
-    for edges_g, edges_h in _adjacent_pairs(n, params.A, pairs, pair_rng):
-        c_g = _lambda2_of_edges(n, edges_g)
-        c_h = _lambda2_of_edges(n, edges_h)
-        sample_rngs = [np.random.default_rng(s) for s in root.spawn(2)]
-        hists = []
-        for center, rng in zip((c_g, c_h), sample_rngs):
-            dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=float(n))
-            counts = sum(
-                np.histogram(draws, bins=edges)[0] for draws in _draws(dist, rng, samples_per_graph)
+    # two streams for each of the three fixed pairs and the random ones
+    workers = min(_usable_cpus(), 2 * (pairs + 3))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        streams = _in_order(pool, stream, jobs(), 2 * workers)
+        for (c_g, p_hat), (c_h, q_hat) in zip(streams, streams):
+            fwd = _distinguish(p_hat, q_hat, params.epsilon, params.delta, samples_per_graph)
+            rev = _distinguish(q_hat, p_hat, params.epsilon, params.delta, samples_per_graph)
+            worst = max(worst, fwd, rev)
+            per_pair.append(
+                {
+                    "lambda2_pair": [c_g, c_h],
+                    "violation_forward": fwd,
+                    "violation_reverse": rev,
+                }
             )
-            hists.append(counts / samples_per_graph)
-        fwd = _distinguish(hists[0], hists[1], params.epsilon, params.delta, samples_per_graph)
-        rev = _distinguish(hists[1], hists[0], params.epsilon, params.delta, samples_per_graph)
-        worst = max(worst, fwd, rev)
-        per_pair.append(
-            {
-                "lambda2_pair": [c_g, c_h],
-                "violation_forward": fwd,
-                "violation_reverse": rev,
-            }
-        )
     return AuditReport(
         audit_name="dp_distinguisher",
         trials=samples_per_graph,
@@ -303,6 +347,21 @@ def audit_dp(
             "pairs": per_pair,
         },
     )
+
+
+def _check_dp_audit(n: int, samples_per_graph: int, pairs: int, bins: int, scale_factor: float) -> None:
+    """Raise what audit_dp would raise on these arguments, before any work;
+    validate calls it before any audit."""
+    if not 2 <= n <= _MAX_ENUMERATION_N:
+        raise ValueError(f"audit supports 2 <= n <= {_MAX_ENUMERATION_N}")
+    if samples_per_graph < 100_000:
+        raise ValueError("need at least 1e5 samples per graph to resolve the histograms")
+    if pairs < 0:
+        raise ValueError(f"extra random pair count must be >= 0, got {pairs}")
+    if not 2 <= bins <= _MAX_BINS:
+        raise ValueError(f"histogram bins must lie in [2, {_MAX_BINS}], got {bins}")
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {scale_factor}")
 
 
 def _check_tail_audits(lambda2: float, n: float, t_grid, a: float, conc_trials: int, exp_trials: int) -> None:

@@ -192,6 +192,20 @@ class TestPrivatize:
         proc = fresh_python(script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_release_path_does_not_load_the_thread_pool(self, tmp_path, fresh_python):
+        # only validate's DP audit uses concurrent.futures; importing it with
+        # the package would add about 3 ms to every command
+        path1024 = tmp_path / "p.txt"
+        path1024.write_text("n=1024\n" + "".join(f"{i} {i + 1}\n" for i in range(1023)))
+        script = (
+            "import sys, privconn.cli\n"
+            f"code = privconn.cli.main(['privatize', '--input', {str(path1024)!r}, '--seed', '1'])\n"
+            "assert code == 0, code\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_report_commands_do_not_load_scipy_optimize(self, fresh_python):
         # the scale and base searches use the package's own root-finder;
         # importing scipy.optimize would add about 0.23 s to every command
@@ -434,6 +448,32 @@ class TestValidate:
         monkeypatch.setattr(cli, "audit_sensitivity", refuse)
         monkeypatch.setattr(cli, "audit_dp", refuse)
         code = main(["validate", "--n", "5", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "5", "--bins", "1000000000"], "histogram bins must lie in [2, 10000], got 1000000000"),
+            (["--n", "5", "--bins", "1"], "histogram bins must lie in [2, 10000], got 1"),
+            (["--n", "5", "--pairs", "-1"], "extra random pair count must be >= 0, got -1"),
+            (["--n", "5", "--samples-per-graph", "10"], "need at least 1e5 samples per graph to resolve the histograms"),
+            (["--n", "5", "--scale-factor", "0"], "scale factor must be positive and finite, got 0.0"),
+            (["--n", "5", "--scale-factor", "nan"], "scale factor must be positive and finite, got nan"),
+            (["--n", "1"], "audit supports 2 <= n <= 6"),
+            (["--n", "7"], "audit supports 2 <= n <= 6"),
+        ],
+        ids=["huge-bins", "one-bin", "pairs", "samples", "scale-0", "scale-nan", "n-1", "n-7"],
+    )
+    def test_bad_dp_argument_exits_2_before_any_audit(self, capsys, monkeypatch, argv, message):
+        # a billion bins would need 8 GB of bin edges; every DP-audit
+        # argument is checked before the exhaustive scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("an audit ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "audit_sensitivity", refuse)
+        monkeypatch.setattr(cli, "audit_dp", refuse)
+        code = main(["validate"] + argv)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

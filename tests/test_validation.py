@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -110,7 +111,10 @@ class TestDpAudit:
             dict(pairs=0, samples_per_graph=50_000),
             dict(pairs=-1),
             dict(bins=1),
+            dict(bins=validation._MAX_BINS + 1),
             dict(scale_factor=0.0),
+            dict(scale_factor=math.inf),
+            dict(scale_factor=math.nan),
         ],
     )
     def test_parameter_validation(self, kwargs):
@@ -122,6 +126,54 @@ class TestDpAudit:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             audit_dp(7, P, pairs=0, samples_per_graph=100_000)
+
+
+class TestDpAuditPool:
+    """audit_dp runs each graph's stream on a worker thread."""
+
+    KWARGS = dict(pairs=3, samples_per_graph=100_003, seed=11)
+
+    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        reports = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(validation, "_usable_cpus", lambda: cpus)
+            reports.append(audit_dp(5, P, **self.KWARGS).as_dict())
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    def test_usable_cpus_falls_back_to_the_machine_count(self, monkeypatch):
+        assert validation._usable_cpus() >= 1
+        monkeypatch.delattr(validation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(validation.os, "cpu_count", lambda: None)
+        assert validation._usable_cpus() == 1
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(validation, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        audit_dp(4, P, **self.KWARGS)
+        assert threading.active_count() == before
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(validation, "_usable_cpus", lambda: 3)
+        calls = 0
+        sample = BoundedLaplaceDist.sample
+        error = RuntimeError("fifth draw block")
+        lock = threading.Lock()
+
+        def failing(self, rng, size=None):
+            nonlocal calls
+            with lock:
+                calls += 1
+                fifth = calls == 5
+            if fifth:
+                raise error
+            return sample(self, rng, size)
+
+        monkeypatch.setattr(BoundedLaplaceDist, "sample", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            audit_dp(4, P, **self.KWARGS)
+        assert caught.value is error
+        assert threading.active_count() == before
 
 
 class TestConcentrationAudit:
@@ -543,6 +595,28 @@ class TestMemoryIsBounded:
         small = self._peak(lambda: run(1_000_000))
         large = self._peak(lambda: run(4_000_000))
         assert large <= small + 8 * validation._DRAW_BLOCK
+
+    def test_dp_audit_peak_grows_only_by_the_extra_report_rows(self, monkeypatch):
+        # one worker, so the peak does not depend on how the workers'
+        # blocks overlap in time; the submission window is the same code
+        monkeypatch.setattr(validation, "_usable_cpus", lambda: 1)
+
+        def held_and_peak(pairs):
+            # traced memory the report still holds, and the peak
+            tracemalloc.start()
+            try:
+                report = audit_dp(4, P, pairs=pairs, samples_per_graph=100_000)
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        audit_dp(4, P, pairs=40, samples_per_graph=100_000)  # first-call caches
+        held_small, peak_small = held_and_peak(10)
+        held_large, peak_large = held_and_peak(40)
+        # the 30 extra rows hold some 10 kB; a job list or future per
+        # stream would add about 2 kB a pair
+        assert 0 < held_large - held_small < 20_000
+        assert peak_large - peak_small <= held_large - held_small
 
     def test_dp_audit_at_a_million_draws_per_graph(self):
         audit_dp(4, P, pairs=0, samples_per_graph=100_000)
