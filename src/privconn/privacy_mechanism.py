@@ -245,30 +245,79 @@ class BoundedLaplaceDist:
         """Quantile function on the open interval (0, 1).
 
         Raises:
-            ValueError: if any u lies outside (0, 1).
+            ValueError: if any u lies outside (0, 1), NaN included.
         """
         u = np.asarray(u, dtype=float)
-        if ((u <= 0.0) | (u >= 1.0)).any():
+        if not ((u > 0.0) & (u < 1.0)).all():
             raise ValueError("inverse_cdf requires u strictly inside (0, 1)")
-        c, b, n = self.center, self.scale_b, self.domain_upper_n
-        C = self.normalizer
-        u_center = -math.expm1(-c / b) / (2.0 * C)
-        lower = c + b * np.log(2.0 * C * u + math.exp(-c / b))
-        upper = c - b * np.log(2.0 - math.exp(-c / b) - 2.0 * C * u)
-        out = np.where(u <= u_center, lower, upper)
-        out = np.clip(out, 0.0, n)  # guard roundoff at the support ends
+        lower = self._lower_quantile(u, np.empty_like(u))
+        upper = self._upper_quantile(u, np.empty_like(u))
+        out = np.clip(np.where(u <= self._u_center, lower, upper), 0.0, self.domain_upper_n)
         return out if out.ndim else float(out)
+
+    @property
+    def _u_center(self) -> float:
+        """cdf(center): the quantile's lower branch holds for u <= this."""
+        return -math.expm1(-self.center / self.scale_b) / (2.0 * self.normalizer)
+
+    def _lower_quantile(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """c + b log(2 C u + exp(-c/b)), the quantile for u <= _u_center,
+        written into out (which may be u) and returned."""
+        c, b = self.center, self.scale_b
+        x = np.multiply(2.0 * self.normalizer, u, out=out)
+        x += math.exp(-c / b)
+        np.log(x, out=x)
+        x *= b
+        x += c
+        return x
+
+    def _upper_quantile(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """c - b log(2 - exp(-c/b) - 2 C u), the quantile for
+        u > _u_center, written into out (which may be u) and returned."""
+        c, b = self.center, self.scale_b
+        x = np.multiply(2.0 * self.normalizer, u, out=out)
+        np.subtract(2.0 - math.exp(-c / b), x, out=x)
+        np.log(x, out=x)
+        x *= b
+        np.subtract(c, x, out=x)
+        return x
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw by inverse transform; same seed, same draws."""
-        u = rng.random(size=() if size is None else size)
-        # rng.random covers [0, 1); redraw the (measure-zero) exact zeros
-        # so the quantile function stays inside its open domain.
+        return self.inverse_cdf(_open_uniforms(rng, () if size is None else size))
+
+    def _sorted_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.sort(self.sample(rng, size)), element for element, from an
+        equally seeded generator; for callers that only count the draws.
+
+        The uniforms are sorted instead of the draws, so the lower branch
+        of the quantile covers a prefix (u <= _u_center) and the upper
+        branch the rest: one logarithm per draw, no mask, and the draws
+        overwrite the uniforms in place. Both branches are nondecreasing
+        in exact arithmetic; rounding could still put two neighbours out
+        of order, so the result is checked and sorted if it is not.
+        """
+        u = _open_uniforms(rng, size)
+        u.sort()
+        k = int(np.searchsorted(u, self._u_center, side="right"))
+        self._lower_quantile(u[:k], u[:k])
+        self._upper_quantile(u[k:], u[k:])
+        np.clip(u, 0.0, self.domain_upper_n, out=u)  # roundoff at the support ends
+        if not (u[1:] >= u[:-1]).all():
+            u.sort()
+        return u
+
+
+def _open_uniforms(rng: np.random.Generator, size) -> np.ndarray:
+    """rng.random(size) with its (measure-zero) exact zeros redrawn, in
+    order, from the same stream, so every u lies in the quantile's open
+    domain (0, 1)."""
+    u = rng.random(size=size)
+    mask = u == 0.0
+    while mask.any():
+        u[mask] = rng.random(size=int(mask.sum()))
         mask = u == 0.0
-        while mask.any():
-            u[mask] = rng.random(size=int(mask.sum()))
-            mask = u == 0.0
-        return self.inverse_cdf(u)
+    return u
 
 
 @dataclass(frozen=True)

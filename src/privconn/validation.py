@@ -6,7 +6,7 @@ Four audits:
   * audit_sensitivity exhausts every graph on up to 5 nodes and verifies
     that editing at most A edges never moves lambda2 by more than 2A.
   * audit_dp samples the release mechanism on adjacent graph pairs,
-    histograms both output laws, and searches for an event whose
+    counts both output laws on a histogram, and searches for an event whose
     probabilities break the (epsilon, delta) inequality by more than
     sampling noise explains. Run with scale_factor < 1 it doubles as a
     negative control: a deliberately under-scaled mechanism must fail.
@@ -25,13 +25,20 @@ variance", 1983). Their memory is O(block) whatever the number of
 trials. Generator.random fills consecutive blocks from the stream a
 one-shot call would read, so the draws are a one-shot draw's, cut into
 pieces, unless rng.random returns exactly 0.0 (probability 2^-53 per
-draw): sample redraws such zeros at the end of their block, so the
-stream shifts from there on. audit_concentration and audit_expectations
-read one stream each. audit_dp gives every graph of every pair its own
-stream, seeded in a fixed order, and runs the streams on a pool of
-threads, one per usable CPU, each worker with one block in flight;
-numpy releases the interpreter lock while it draws, transforms and sorts.
-The counts are exact integers summed per stream, so its report does not
+draw): such zeros are redrawn at the end of their block, so the stream
+shifts from there on. A count does not depend on the order of the draws,
+so audit_dp and audit_concentration take each block sorted
+(BoundedLaplaceDist._sorted_sample): the uniforms are sorted before the
+quantile, which then takes one logarithm per draw, and a histogram is
+one searchsorted of the bin edges. A sorted block is np.sort of the
+block that sample would draw, so every count equals the sampler's.
+audit_expectations sums its moments in draw order and keeps sample.
+audit_concentration and audit_expectations read one stream each.
+audit_dp gives every graph of every pair its own stream, seeded in a
+fixed order, and runs the streams on a pool of threads, one per usable
+CPU, each worker with one block in flight; numpy releases the
+interpreter lock while it draws, sorts, transforms and counts. The
+counts are exact integers summed per stream, so its report does not
 depend on the CPU count.
 
 The attack side shows why the noise is needed: exact_value_attack lists
@@ -132,10 +139,19 @@ def _edge_slots(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def _draws(dist: BoundedLaplaceDist, rng: np.random.Generator, count: int):
-    """count draws from dist, in blocks of at most _DRAW_BLOCK."""
+def _draws(draw, rng: np.random.Generator, count: int):
+    """count draws by draw(rng, size), in blocks of at most _DRAW_BLOCK."""
     for start in range(0, count, _DRAW_BLOCK):
-        yield dist.sample(rng, size=min(_DRAW_BLOCK, count - start))
+        yield draw(rng, min(_DRAW_BLOCK, count - start))
+
+
+def _sorted_counts(draws: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """np.histogram(draws, bins=edges)[0] for sorted draws, by numpy's rule:
+    bin i holds [edges[i], edges[i + 1]), and the last bin its right edge
+    too."""
+    ends = np.searchsorted(draws, edges, side="left")
+    ends[-1] = np.searchsorted(draws, edges[-1], side="right")
+    return np.diff(ends)
 
 
 def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
@@ -283,9 +299,10 @@ def audit_dp(
     The pairs' centres and their generators' seeds are taken on the
     calling thread, in a fixed order. Each graph's stream then runs on a
     pool of worker threads, one per usable CPU, which sums its histogram
-    counts block by block (see the module docstring); at most two streams
-    per worker are submitted and not yet collected, so memory grows
-    neither with samples_per_graph nor with pairs. The report does not
+    counts over sorted blocks of draws: np.histogram of the shipped
+    sampler's blocks, count for count (see the module docstring). At most
+    two streams per worker are submitted and not yet collected, so memory
+    grows neither with samples_per_graph nor with pairs. The report does not
     depend on the CPU count.
 
     Raises:
@@ -310,7 +327,8 @@ def audit_dp(
         dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=float(n))
         rng = np.random.default_rng(seed_seq)
         counts = sum(
-            np.histogram(draws, bins=bin_edges)[0] for draws in _draws(dist, rng, samples_per_graph)
+            _sorted_counts(draws, bin_edges)
+            for draws in _draws(dist._sorted_sample, rng, samples_per_graph)
         )
         return center, counts / samples_per_graph
 
@@ -407,7 +425,8 @@ def audit_concentration(
     P(|exp(-X t) - exp(-lambda2 t)| >= a) over fresh draws of X is
     compared with the Markov bound; the violation subtracts three
     binomial standard errors, so positive means the certificate is wrong,
-    not unlucky. The exceedances are counted over blocks of draws (see
+    not unlucky. The exceedances are counted over sorted blocks of
+    draws, the same counts as over the sampler's unsorted blocks (see
     the module docstring). details carries the full curve, including the
     certified success floor 1 - bound (negative where the bound is
     vacuous; reported as computed).
@@ -421,7 +440,7 @@ def audit_concentration(
         flat = math.exp(-lambda2 * t)
         exceed = sum(
             int(np.count_nonzero(np.abs(np.exp(-draws * t) - flat) >= a))
-            for draws in _draws(dist, rng, trials)
+            for draws in _draws(dist._sorted_sample, rng, trials)
         )
         p_hat = exceed / trials
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -474,7 +493,7 @@ def audit_expectations(
     t_probe = 1.0
     flat = math.exp(-lambda2 * t_probe)
     count, mean, m2 = 0, np.zeros(3), np.zeros(3)
-    for draws in _draws(dist, rng, trials):
+    for draws in _draws(dist.sample, rng, trials):
         samples = np.stack([draws, 1.0 / np.sqrt(draws), np.abs(np.exp(-draws * t_probe) - flat)])
         size = samples.shape[1]
         block_mean = samples.mean(axis=1)

@@ -77,7 +77,12 @@ def test_traced_commands_record_every_consensus_and_bounds_span(capsys):
         "consensus_analysis.concentration_bound",
         "property_bounds.exact_bounds",
         "property_bounds.expected_bounds",
+        "validation.audit_dp",
         "validation.audit_concentration",
+        # the expectations audit's draws; the DP audit's sorted draws have
+        # no span of their own
+        "privacy_mechanism.sample",
     }
     assert sorted(want - recorded) == []
     assert t.counts["privacy_mechanism.delta_C_calls"] > 0
+    assert t.counts["privacy_mechanism.draws"] > 0

@@ -288,6 +288,10 @@ class TestBoundedLaplace:
             self.DIST.inverse_cdf(0.0)
         with pytest.raises(ValueError):
             self.DIST.inverse_cdf(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            self.DIST.inverse_cdf(math.nan)
+        with pytest.raises(ValueError):
+            self.DIST.inverse_cdf(np.array([0.5, math.nan]))
 
     def test_sampling_is_seed_deterministic(self):
         a = self.DIST.sample(np.random.default_rng(123), size=1000)
@@ -318,6 +322,44 @@ class TestBoundedLaplace:
         k = np.arange(1, draws.size + 1) / draws.size
         ks = float(np.abs(grid - k).max())
         assert ks < 0.002
+
+
+class TestSortedSample:
+    """_sorted_sample is np.sort(sample(...)) element for element, from
+    equally seeded generators."""
+
+    N = 10.0
+
+    @pytest.mark.parametrize("center", [0.0, 3.0, N])
+    @pytest.mark.parametrize("b", [0.01, solve_scale_b(P_DEFAULT, N), 1e3])
+    # the short size is the last block of 100,003 draws in blocks of 2^15
+    @pytest.mark.parametrize("size", [1, 2, 100_003 % (1 << 15), 1 << 15])
+    def test_equals_the_sorted_sample(self, center, b, size):
+        dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=self.N)
+        got = dist._sorted_sample(np.random.default_rng(31), size)
+        assert np.array_equal(got, np.sort(dist.sample(np.random.default_rng(31), size)))
+
+    def test_exact_zero_draws_are_redrawn_before_the_sort(self):
+        dist = TestBoundedLaplace.DIST
+        rest = np.random.default_rng(8).random(6)
+        got = dist._sorted_sample(_ZerosFirst(7, rest), 6)
+        assert np.array_equal(got, np.sort(dist.sample(_ZerosFirst(7, rest), 6)))
+        assert got.min() > 0.0
+
+    def test_an_unsorted_branch_is_sorted(self, monkeypatch):
+        upper = BoundedLaplaceDist._upper_quantile
+
+        def reflected(self, u, out):
+            # the upper branch reflected inside [center, n]: one value per u,
+            # as sample reads it too, but decreasing in u
+            x = upper(self, u, out)
+            return np.subtract(self.center + self.domain_upper_n, x, out=x)
+
+        monkeypatch.setattr(BoundedLaplaceDist, "_upper_quantile", reflected)
+        dist = TestBoundedLaplace.DIST
+        got = dist._sorted_sample(np.random.default_rng(5), 1 << 15)
+        want = np.sort(dist.sample(np.random.default_rng(5), 1 << 15))
+        assert np.array_equal(got, want)
 
 
 class _ZerosFirst:

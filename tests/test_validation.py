@@ -155,20 +155,20 @@ class TestDpAuditPool:
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(validation, "_usable_cpus", lambda: 3)
         calls = 0
-        sample = BoundedLaplaceDist.sample
+        sorted_sample = BoundedLaplaceDist._sorted_sample
         error = RuntimeError("fifth draw block")
         lock = threading.Lock()
 
-        def failing(self, rng, size=None):
+        def failing(self, rng, size):
             nonlocal calls
             with lock:
                 calls += 1
                 fifth = calls == 5
             if fifth:
                 raise error
-            return sample(self, rng, size)
+            return sorted_sample(self, rng, size)
 
-        monkeypatch.setattr(BoundedLaplaceDist, "sample", failing)
+        monkeypatch.setattr(BoundedLaplaceDist, "_sorted_sample", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
             audit_dp(4, P, **self.KWARGS)
