@@ -27,7 +27,8 @@ import numpy as np
 
 from .consensus_analysis import expected_rate_error, settle_time, worst_case_settle_time
 from .errors import InfeasibleParamsError, NumericalError
-from .graph_core import from_edge_list, spectrum
+# spectrum is unused here; bench/tracer.py rebinds cli.spectrum
+from .graph_core import algebraic_connectivity, from_edge_list, spectrum  # noqa: F401
 from .privacy_mechanism import PrivacyParams, _release, privatize, solve_scale_b
 from .property_bounds import exact_bounds, expected_bounds, min_degree_inference
 from .validation import (
@@ -323,10 +324,9 @@ def _cmd_attack_demo(args) -> int:
         for v in range(u + 1, graph.n)
         if args.node not in (u, v) and (u, v) not in graph.edges
     ]
-    # one eigensolve feeds the exact attack and the release: on the dense
-    # route, which every n <= 6 graph takes, spectrum's lambda2 is
-    # algebraic_connectivity's bit for bit, so the draw is privatize's
-    lambda2 = spectrum(graph).lambda2
+    # one lambda2 feeds the exact attack and the release: privatize's
+    # own, so the draw is privatize's
+    lambda2 = algebraic_connectivity(graph)
     exact = exact_value_attack(graph.n, lambda2, known_present, known_absent, tol=args.tol)
     params = _params(args)
     release = _release(lambda2, graph.n, params, np.random.default_rng(args.seed))

@@ -8,14 +8,17 @@ certificate, and Seidel's all-pairs algorithm for the exact distances.
 algebraic_connectivity returns lambda2 alone, within 1e-9, with two
 one-sided certificates. From below, an eigenvalue's index, by Sylvester's
 law of inertia; from above, a Rayleigh bound, which both routes share.
-Dense: an eigenvalue-only solve gives r, one Cholesky at r - 1e-9 proves
-the lower side up to backward error, and one inverse-iteration solve with
-that factor gives the vector whose Rayleigh bound proves the upper side.
-Sparse, on large sparse graphs: a preconditioned LOBPCG estimate, a
-sparse pivot count below and the Rayleigh bound of its vector above. Its
-docstring says what each check proves. spectrum runs the same dense
-solve and checks, certifies lambda_n by two inertia tests, and returns
-those two values alone.
+Dense: a shift-invert Lanczos run on the Cholesky factor of the shifted
+Laplacian estimates lambda2 alone, above 320 nodes; at or below that, or
+where Lanczos fails, an eigenvalue-only solve of the whole spectrum does.
+Either way one Cholesky at r - 1e-9 proves the lower side up to backward
+error, and a Rayleigh bound proves the upper side, from the Ritz vector
+or from an inverse-iteration solve with that factor. Sparse, on large
+sparse graphs: a preconditioned LOBPCG estimate, a sparse pivot count
+below and the Rayleigh bound of its vector above. Its docstring says what
+each check proves. spectrum runs the whole-spectrum solve with the same
+checks, certifies lambda_n by two inertia tests, and returns those two
+values alone.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
@@ -80,12 +83,25 @@ _SPARSE_MAX_MEAN_DEGREE = 8
 # refusal reads n alone, so it tells nothing about the edges.
 _SPARSE_MAX_N = 500_000
 
-# The dense lambda2 route holds about three n x n float64 arrays (the
-# Laplacian, the eigensolver's copy, a Cholesky factor), 24 n^2 bytes:
-# 3.8 GiB at the cap, under half of an 8 GB machine. Past that numpy can
-# overcommit the allocation and the process is killed instead of raising
+# The dense lambda2 route holds about three n x n float64 arrays, 24 n^2
+# bytes: the shifted Laplacian, a Cholesky factor and LAPACK's copy of its
+# input while it factors (or the eigensolver's copy, where eigvalsh runs).
+# That is 3.8 GiB at the cap, under half of an 8 GB machine. Past that numpy
+# can overcommit the allocation and the process is killed instead of raising
 # MemoryError, so larger dense graphs are refused before anything is built.
 _DENSE_MAX_N = 13_000
+
+# The dense lambda2 route estimates by Lanczos above this many nodes and by
+# one eigvalsh at or below it (or when Lanczos fails). On a 2-core Xeon,
+# Lanczos was faster at 320 nodes on every graph tried (path, grid, K_n,
+# star, G(n, p) at mean degree 8 and 32); at 256, G(n, p) at mean degree
+# 32 took up to twice as long.
+_LANCZOS_MIN_N = 320
+
+# Lanczos steps before the dense route falls back to eigvalsh: a failed
+# attempt, its factorization included, then costs about one eigvalsh (6.6,
+# 13.8 and 26 ms at 400, 640 and 1,000 nodes, against 4.9, 12.8 and 36 ms)
+_LANCZOS_STEPS = 32
 
 # LOBPCG steps on the sparse route: 3-11 on the release's members, 190-250
 # on random 8-regular graphs, whose lambda2 has close neighbours
@@ -106,8 +122,9 @@ _RAYLEIGH_MARGIN = (16 + _SUM_BLOCK) * np.finfo(float).eps
 # certified every graph tried, the rest cover close neighbours of lambda2
 _INVERSE_STEPS = 3
 
-# rows per diagonal block of _cholesky_solve: 32 to 64 were fastest at
-# n = 1,024 on a 2-core Xeon, 16 and 128 slower
+# rows per diagonal block of _cholesky_solver: 32 and 64 were fastest at
+# n = 400-2,048 on a 2-core Xeon counting the block inverses, 16 and 128
+# slower
 _SOLVE_BLOCK = 32
 
 
@@ -329,8 +346,10 @@ def laplacian(graph: Graph) -> np.ndarray:
 def spectrum(graph: Graph) -> SpectralSummary:
     """lambda2 and lambda_n, each certified by index to within 1e-9.
 
-    It runs algebraic_connectivity's dense route, which certifies lambda2
-    to within tol = 1e-9, and certifies lambda_n by inertia on
+    It runs algebraic_connectivity's dense eigvalsh solve and checks,
+    which certify lambda2 to within tol = 1e-9 (at or below 320 nodes the
+    same value bit for bit; above, both are within tol of lambda2, so they
+    may differ by up to 2 tol), and certifies lambda_n by inertia on
     sigma I - L, which is positive definite iff lambda_n < sigma: a
     Cholesky factorization that succeeds at lambda_n + tol and fails at
     lambda_n - tol puts lambda_n within tol of its value, up to the
@@ -359,26 +378,32 @@ def algebraic_connectivity(graph: Graph) -> float:
     by Sylvester's law of inertia (spectrum slicing; Parlett, The
     Symmetric Eigenvalue Problem) and from above by a Rayleigh bound.
 
-    Dense: the estimate is the second eigenvalue from a dense symmetric
-    solve that computes no eigenvectors. With s above every eigenvalue,
-    the matrix
+    Dense: with s above every eigenvalue, the matrix
 
         M(sigma) = L + (s/n) 11^T - sigma I
 
     moves the constant null vector of L to s - sigma and leaves
     lambda_i - sigma for i >= 2, so it is positive definite iff
-    lambda2 > sigma. One Cholesky factorization C of M(r - tol) proves
-    lambda2 >= r - tol, up to its backward error, about n eps ||M|| with
-    ||M|| <= lambda_n + 1 <= n + 1: a proof while n (lambda_n + 1) stays
-    well below tol / eps ~ 9e6 (5e3 for a 1024-node path, 4e5 for
-    K_600); at K_3000 it reaches 9e6, and there it is only a heuristic.
-    The least eigenvalue of M(r - tol) is lambda2 - r + tol, about tol,
-    so one solve with C C^T from a fixed start (a step of inverse
-    iteration) leaves a vector close to lambda2's eigenspace, and the
-    Rayleigh bound below proves lambda2 <= r + tol (a proof, however
-    inexact the solve). When it does not, up to three steps are taken
-    before the check fails. Graphs above 13,000 nodes are refused here,
-    before the 24 n^2 bytes the route needs are allocated.
+    lambda2 > sigma. Above 320 nodes s = n + 1, which no eigenvalue
+    reaches, and a shift-invert Lanczos run on the Cholesky factor of
+    M(-tol) estimates lambda2 alone (see _lanczos): 1-9 steps on the
+    benchmark's members. At or below 320 nodes, where it saves little and
+    loses on random graphs, or when it stops at its 32-step cap or its
+    value fails a check below, the estimate is the second eigenvalue from
+    a dense symmetric solve that computes no eigenvectors, with s its
+    lambda_n + 1. The node count is public, so the choice leaks nothing
+    the release does not. One Cholesky factorization C of M(r - tol)
+    proves lambda2 >= r - tol, up to its backward error, about n eps s:
+    a proof while n s stays well below tol / eps ~ 9e6 (1.05e6 at
+    n = 1,024, 3.6e5 for K_600); near n = 3000 it reaches 9e6, and there
+    it is only a heuristic. From above, the Rayleigh bound below, of
+    Lanczos's Ritz vector, proves lambda2 <= r + tol (a proof, however
+    inexact the vector). Where it does not, or after eigvalsh: the least
+    eigenvalue of M(r - tol) is lambda2 - r + tol, about tol, so one solve
+    with C C^T from a fixed start (a step of inverse iteration) leaves a
+    vector close to lambda2's eigenspace for the same bound; up to three
+    steps are taken before the check fails. Graphs above 13,000 nodes are
+    refused here, before the 24 n^2 bytes the route needs are allocated.
 
     Sparse: the rank-one term would fill a sparse matrix, so it is applied
     as an operator, x -> L x + (n + 1) mean(x) 1, whose least eigenvalue
@@ -406,9 +431,10 @@ def algebraic_connectivity(graph: Graph) -> float:
 
     The lower side needs no test when r - tol <= 0, because L is
     positive semidefinite: the sparse route skips it, and the dense one
-    still factors M(-tol), which its upper check needs. The dense upper
-    check is skipped when r + tol >= n, because no Laplacian eigenvalue
-    of an n-node graph exceeds n.
+    still factors M(-tol), which its upper check needs (after Lanczos it
+    keeps the factor Lanczos ran on). The dense upper check is skipped
+    when r + tol >= n, because no Laplacian eigenvalue of an n-node graph
+    exceeds n.
 
     Raises:
         ValueError: for a single node, a graph above 500,000 nodes, or a
@@ -428,7 +454,82 @@ def algebraic_connectivity(graph: Graph) -> float:
             # decides afresh where it may run
             if n > _DENSE_MAX_N:
                 raise
+    if _LANCZOS_MIN_N < n <= _DENSE_MAX_N:
+        try:
+            return _lanczos_algebraic_connectivity(graph)
+        except NumericalError:
+            # Lanczos stopped at its step cap or its value failed a check;
+            # eigvalsh decides afresh
+            pass
     return float(_dense_eigenvalues(graph, "algebraic connectivity")[1])
+
+
+def _lanczos_algebraic_connectivity(graph: Graph) -> float:
+    """algebraic_connectivity's dense route above _LANCZOS_MIN_N nodes; see
+    its docstring. Raises NumericalError for the caller to fall back."""
+    tol, n = _LAMBDA2_TOL, graph.n
+    M = laplacian(graph)
+    M += (n + 1) / n
+    diag = M.diagonal().copy()
+    C = _cholesky(M, diag, -tol)
+    if C is None:
+        raise NumericalError(f"inertia check: M(-{tol:.3e}) has no Cholesky factor")
+    estimate, x = _lanczos(C)
+    r = float(_snap(estimate, n))
+    if r > 0.0:
+        # at r = 0, M(r - tol) is M(-tol), whose factor Lanczos ran on
+        del C
+        C = _cholesky(M, diag, r - tol)
+        if C is None:
+            raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
+    del M
+    if r + tol < n and not _rayleigh_bound(graph.pairs, x) <= r + tol:
+        _certify_upper(graph.pairs, C, r)
+    return r
+
+
+def _lanczos(C: np.ndarray) -> tuple[float, np.ndarray]:
+    """lambda2's estimate and its Ritz vector, by Lanczos on (C C^T)^-1.
+
+    C C^T is M(-tol), whose least eigenvalue is lambda2 + tol, so the
+    largest of its inverse is theta = 1 / (lambda2 + tol) (shift-invert;
+    Ericsson and Ruhe, Math. Comp. 35, 1980). Single-vector Lanczos with
+    full reorthogonalisation, Gram-Schmidt twice (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 6 and 13), from the centred sin(1..n), which
+    leaves out the constant vector. It stops once the error estimate of the
+    largest Ritz value, carried into lambda-space, rho^2 / (theta^2 gap), is
+    below tol / 1000: rho is the Ritz pair's residual norm, gap the distance
+    to the next Ritz value (at the first step, theta itself). An invariant
+    subspace gives rho = 0, which ends K_n in one step and the star in two.
+    The estimate needs no proof; the checks that follow decide.
+
+    Raises:
+        NumericalError: after _LANCZOS_STEPS steps without that estimate.
+    """
+    tol = _LAMBDA2_TOL
+    solve = _cholesky_solver(C)
+    q = np.sin(np.arange(1.0, len(C) + 1.0))
+    q -= q.mean()
+    Q = np.empty((_LANCZOS_STEPS, len(q)))
+    Q[0] = q / np.linalg.norm(q)
+    T = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS))
+    for k in range(_LANCZOS_STEPS):
+        basis = Q[: k + 1]
+        w = solve(basis[k])
+        T[k, k] = basis[k] @ w
+        w -= (basis @ w) @ basis
+        w -= (basis @ w) @ basis
+        beta = np.linalg.norm(w)
+        ritz, S = np.linalg.eigh(T[: k + 1, : k + 1])
+        theta = ritz[-1]
+        gap = theta - ritz[-2] if k else theta
+        rho = beta * abs(S[-1, -1])
+        if rho * rho <= tol / 1000.0 * theta * theta * gap:
+            return 1.0 / theta - tol, S[:, -1] @ basis
+        if k + 1 < _LANCZOS_STEPS:
+            Q[k + 1] = w / beta
+            T[k, k + 1] = T[k + 1, k] = beta
+    raise NumericalError(f"Lanczos: no estimate of lambda2 within {_LANCZOS_STEPS} steps")
 
 
 def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.ndarray:
@@ -619,9 +720,10 @@ def _certify_upper(pairs: np.ndarray, C: np.ndarray, r: float) -> None:
     One step certified every graph on n <= 6 and every benchmark member.
     """
     tol = _LAMBDA2_TOL
+    solve = _cholesky_solver(C)
     x = np.sin(np.arange(1.0, len(C) + 1.0))
     for _ in range(_INVERSE_STEPS):
-        x = _cholesky_solve(C, x)
+        x = solve(x)
         x /= np.abs(x).max()
         q = _rayleigh_bound(pairs, x)
         if q <= r + tol:
@@ -629,25 +731,31 @@ def _certify_upper(pairs: np.ndarray, C: np.ndarray, r: float) -> None:
     raise NumericalError(f"Rayleigh check: lambda2 may be above {r!r} + {tol:.3e} (bound {q!r})")
 
 
-def _cholesky_solve(C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(C C^T)^-1 x for a lower-triangular C, by blocked substitution.
+def _cholesky_solver(C: np.ndarray):
+    """x -> (C C^T)^-1 x for a lower-triangular C, by blocked substitution.
 
     numpy has no triangular solve and the dense route does not import
-    scipy, so each diagonal block of _SOLVE_BLOCK rows goes to
-    np.linalg.solve after one matrix-vector product with the rows or
-    columns already solved: forward through C, then back through C^T.
-    About 1 ms at n = 1,024 on a 2-core Xeon, against 6-13 ms for the
-    factorization.
+    scipy. Each diagonal block of _SOLVE_BLOCK rows is inverted once, so a
+    solve is matrix-vector products alone: forward through C, then back
+    through C^T, each block after one product with the rows or columns
+    already solved. At n = 1,024 on a 2-core Xeon the inverses take about
+    0.6 ms and a solve 0.4 ms (1.0 ms with np.linalg.solve on each block),
+    against 6-13 ms for the factorization.
     """
-    z = x.copy()
-    starts = range(0, len(z), _SOLVE_BLOCK)
-    for i in starts:
-        j = i + _SOLVE_BLOCK
-        z[i:j] = np.linalg.solve(C[i:j, i:j], z[i:j] - C[i:j, :i] @ z[:i])
-    for i in reversed(starts):
-        j = i + _SOLVE_BLOCK
-        z[i:j] = np.linalg.solve(C[i:j, i:j].T, z[i:j] - z[j:] @ C[j:, i:j])
-    return z
+    starts = range(0, len(C), _SOLVE_BLOCK)
+    inverses = [np.linalg.inv(C[i : i + _SOLVE_BLOCK, i : i + _SOLVE_BLOCK]) for i in starts]
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        z = x.copy()
+        for i, inverse in zip(starts, inverses):
+            j = i + _SOLVE_BLOCK
+            z[i:j] = inverse @ (z[i:j] - C[i:j, :i] @ z[:i])
+        for i, inverse in zip(reversed(starts), reversed(inverses)):
+            j = i + _SOLVE_BLOCK
+            z[i:j] = (z[i:j] - z[j:] @ C[j:, i:j]) @ inverse
+        return z
+
+    return solve
 
 
 def _all_pairs_distances(graph: Graph) -> np.ndarray:

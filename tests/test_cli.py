@@ -525,7 +525,7 @@ class TestAttackDemo:
         path.write_text(CYCLE4)
         code, rep = run_json(capsys, ["attack-demo", "--input", str(path), "--node", "3", "--seed", "5"])
         assert code == 0
-        assert calls == ["spectrum"]
+        assert calls == ["algebraic connectivity"]
         graph = from_edge_list(CYCLE4)
         params = PrivacyParams(epsilon=0.4, delta=0.05, A=1)
         release = privatize(graph, params, np.random.default_rng(5))
@@ -534,9 +534,9 @@ class TestAttackDemo:
 
     def test_large_graph_exits_2_before_the_eigensolve(self, capsys, tmp_path, monkeypatch):
         def refuse(graph):
-            raise AssertionError("spectrum ran on a graph the attack refuses")
+            raise AssertionError("the eigensolve ran on a graph the attack refuses")
 
-        monkeypatch.setattr(cli, "spectrum", refuse)
+        monkeypatch.setattr(cli, "algebraic_connectivity", refuse)
         path = tmp_path / "path.txt"
         path.write_text("n=2000\n" + "".join(f"{i} {i + 1}\n" for i in range(1999)))
         code = main(["attack-demo", "--input", str(path), "--node", "0"])

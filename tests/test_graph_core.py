@@ -37,9 +37,10 @@ def _cycle_edges(n):
     return _path_edges(n) + [(0, n - 1)]
 
 
-def _grid_edges(k):
-    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
-    return edges + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+def _grid_edges(k, cols=None):
+    cols = k if cols is None else cols
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(k) for c in range(cols - 1)]
+    return edges + [(r * cols + c, (r + 1) * cols + c) for r in range(k - 1) for c in range(cols)]
 
 
 def _hypercube_edges(d):
@@ -353,6 +354,31 @@ def _shift_sparse_estimate(monkeypatch, by):
     monkeypatch.setattr(linalg, "lobpcg", shifted)
 
 
+def _shift_lanczos_estimate(monkeypatch, by):
+    """Move the dense route's Lanczos estimate by `by`; return its calls."""
+    lanczos, calls = graph_core._lanczos, []
+
+    def shifted(C):
+        calls.append(len(C))
+        estimate, x = lanczos(C)
+        return estimate + by, x
+
+    monkeypatch.setattr(graph_core, "_lanczos", shifted)
+    return calls
+
+
+def _count_eigvalsh(monkeypatch):
+    """Count np.linalg.eigvalsh calls; return the list they append to."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(L):
+        calls.append(len(L))
+        return eigvalsh(L)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 class TestAlgebraicConnectivity:
     C4096 = _graph(4096, _cycle_edges(4096))
 
@@ -438,10 +464,13 @@ class TestAlgebraicConnectivity:
         got = algebraic_connectivity(g)
         assert got == pytest.approx(want, abs=_LAMBDA2_TOL)
         if n <= graph_core._SPARSE_MIN_N:
-            # spectrum runs the same dense route: lambda2 bit for bit, and
-            # a certified lambda_n
+            # spectrum runs the dense route's eigvalsh solve: a certified
+            # lambda2, bit for bit the route's value where the route runs
+            # eigvalsh too, and a certified lambda_n
             s = spectrum(g)
-            assert s.lambda2 == got
+            assert s.lambda2 == pytest.approx(want, abs=_LAMBDA2_TOL)
+            if n <= graph_core._LANCZOS_MIN_N:
+                assert s.lambda2 == got
             assert s.lambda_n == pytest.approx(lambda_n, abs=_LAMBDA2_TOL)
 
     def test_boundary_snapping(self):
@@ -481,6 +510,14 @@ class TestAlgebraicConnectivity:
         for solve in solvers:
             with pytest.raises(NumericalError, match=message):
                 solve(g)
+        if index == 1:
+            # a Lanczos estimate shifted alike fails its checks; the shifted
+            # eigvalsh it falls back to then fails with the same message
+            monkeypatch.setattr(graph_core, "_LANCZOS_MIN_N", 0)
+            calls = _shift_lanczos_estimate(monkeypatch, sign * 2.0 * tol)
+            with pytest.raises(NumericalError, match=message):
+                algebraic_connectivity(g)
+            assert calls == [64]
 
     @staticmethod
     def _count_dense_work(monkeypatch):
@@ -538,11 +575,82 @@ class TestAlgebraicConnectivity:
     )
     def test_multiple_lambda2_certifies_in_one_step(self, monkeypatch, edges, n, want):
         # lambda2 has multiplicity 510 on the star and 10 on the hypercube;
-        # any vector in the eigenspace bounds it, so one inverse-iteration
-        # step from the fixed start suffices
+        # Lanczos from one start vector sees one vector of the eigenspace,
+        # and any such vector bounds lambda2, so the Ritz vector's one
+        # Rayleigh bound suffices. The two factorizations are M(-tol), which
+        # Lanczos runs on, and M(r - tol), the lower check
         shifts, factored, bounds = self._count_dense_work(monkeypatch)
-        assert algebraic_connectivity(_graph(n, edges)) == pytest.approx(want, abs=_LAMBDA2_TOL)
-        assert factored == [n] and len(bounds) == 1
+        got = algebraic_connectivity(_graph(n, edges))
+        assert got == pytest.approx(want, abs=_LAMBDA2_TOL)
+        assert shifts == [-_LAMBDA2_TOL, got - _LAMBDA2_TOL]
+        assert factored == [n, n] and len(bounds) == 1
+
+    @pytest.mark.parametrize("n", [512, 768, 1024])
+    def test_dense_lambda2_above_the_crossover_runs_no_eigvalsh(self, monkeypatch, n):
+        # Lanczos certifies each family without falling back: no eigvalsh,
+        # and no factorization beyond M(-tol) and M(r - tol)
+        rows = n // 32
+        families = {
+            "path": (_path_edges(n), 2.0 - 2.0 * math.cos(math.pi / n)),
+            "cycle": (_cycle_edges(n), 2.0 - 2.0 * math.cos(2.0 * math.pi / n)),
+            "grid": (_grid_edges(rows, 32), 2.0 - 2.0 * math.cos(math.pi / max(rows, 32))),
+            "star": ([(0, i) for i in range(1, n)], 1.0),
+            "complete": (oc.edge_slots(n), float(n)),
+        }
+        if n & (n - 1) == 0:
+            families["hypercube"] = (_hypercube_edges(n.bit_length() - 1), 2.0)
+        assert n > graph_core._LANCZOS_MIN_N
+        eigvalsh = _count_eigvalsh(monkeypatch)
+        _, factored, _ = self._count_dense_work(monkeypatch)
+        for family, (edges, want) in families.items():
+            factored.clear()
+            got = algebraic_connectivity(_graph(n, edges))
+            assert got == pytest.approx(want, abs=_LAMBDA2_TOL), family
+            assert eigvalsh == [] and len(factored) <= 2, family
+
+    def test_lanczos_certifies_every_small_graph(self, monkeypatch):
+        # with the crossover at 0 every graph runs Lanczos; with eigvalsh
+        # refused, a fallback would raise. Every connected graph on 2..5
+        # nodes and 500 sampled 6-node ones, disconnected ones included
+        def refused(L):
+            raise AssertionError("the dense route fell back to eigvalsh")
+
+        monkeypatch.setattr(graph_core, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        graphs = [(n, edges) for n in range(2, 6) for edges in oc.connected_edge_sets(n)]
+        rng = np.random.default_rng(14)
+        slots = oc.edge_slots(6)
+        for _ in range(500):
+            keep = rng.random(len(slots)) < rng.uniform(0.1, 0.9)
+            graphs.append((6, frozenset(s for s, k in zip(slots, keep) if k)))
+        for n, edges in graphs:
+            want = oc.mp_eigenvalues(oc.laplacian_int(n, edges))[1]
+            assert abs(algebraic_connectivity(Graph(n=n, edges=edges)) - want) <= _LAMBDA2_TOL, (n, edges)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["below", "above"])
+    def test_shifted_lanczos_estimate_falls_back_to_eigvalsh(self, monkeypatch, sign):
+        # C_64's lambda2 (0.0096, double) is far from both ends of [0, 64]:
+        # a Lanczos estimate 2 tol too high fails the Cholesky below, one
+        # 2 tol too low the Rayleigh bounds above, and eigvalsh answers
+        g = _graph(64, _cycle_edges(64))
+        dense = algebraic_connectivity(g)
+        monkeypatch.setattr(graph_core, "_LANCZOS_MIN_N", 0)
+        calls = _shift_lanczos_estimate(monkeypatch, sign * 2.0 * _LAMBDA2_TOL)
+        eigvalsh = _count_eigvalsh(monkeypatch)
+        assert algebraic_connectivity(g) == dense
+        assert calls == [64] and eigvalsh == [64]
+
+    def test_lanczos_step_cap_falls_back_to_eigvalsh(self, monkeypatch):
+        # one step leaves C_64's Ritz value far from converged
+        g = _graph(64, _cycle_edges(64))
+        dense = algebraic_connectivity(g)
+        monkeypatch.setattr(graph_core, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(graph_core, "_LANCZOS_STEPS", 1)
+        with pytest.raises(NumericalError, match="no estimate of lambda2 within 1 steps"):
+            graph_core._lanczos_algebraic_connectivity(g)
+        eigvalsh = _count_eigvalsh(monkeypatch)
+        assert algebraic_connectivity(g) == dense
+        assert eigvalsh == [64]
 
     def test_dense_route_loads_neither_scipy_nor_numpy_random(self, fresh_python):
         # importing numpy.random costs about 5.6 MB of RSS; the dense
