@@ -6,16 +6,14 @@ the routines here favor exactness over scale: dense eigensolves with a
 certificate, and Seidel's all-pairs algorithm for the exact distances.
 
 algebraic_connectivity returns lambda2 alone, within 1e-9, with two
-one-sided certificates. From below, an eigenvalue's index, by Sylvester's
-law of inertia; from above, a Rayleigh bound, which both routes share.
-Dense: a shift-invert Lanczos run on the Cholesky factor of the shifted
-Laplacian estimates lambda2 alone, above 320 nodes; at or below that, or
-where Lanczos fails, an eigenvalue-only solve of the whole spectrum does.
-Either way one Cholesky at r - 1e-9 proves the lower side up to backward
-error, and a Rayleigh bound proves the upper side, from the Ritz vector
-or from an inverse-iteration solve with that factor. Sparse, on large
-sparse graphs: a preconditioned LOBPCG estimate, a sparse pivot count
-below and the Rayleigh bound of its vector above. Its docstring says what
+one-sided certificates: from below, an eigenvalue's index, by Sylvester's
+law of inertia; from above, a Rayleigh bound. Both routes estimate by one
+shift-invert Lanczos kernel and take the Rayleigh bound of its Ritz
+vector. Dense: on the Cholesky factor of the shifted Laplacian, above
+320 nodes (at or below that, or where Lanczos fails, an eigenvalue-only
+solve of the whole spectrum estimates), and a Cholesky at r - 1e-9 below.
+Sparse, on large sparse graphs: on a sparse LU of the Laplacian shifted
+just below 0, and a sparse pivot count below. Its docstring says what
 each check proves. spectrum runs the whole-spectrum solve with the same
 checks, certifies lambda_n by two inertia tests, and returns those two
 values alone.
@@ -40,7 +38,6 @@ exactly while it is at most 2^24 (n <= 4096).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -79,9 +76,16 @@ _SPARSE_MAX_MEAN_DEGREE = 8
 # algebraic_connectivity refuses graphs above this many nodes, whatever
 # their edges: the sparse route's length-n work arrays cost about 500
 # bytes a node (about 550 MB at n = 10^6 with a single edge), and the
-# 700^2 grid (n = 490,000) took 11.8 s at a peak RSS of 1.5 GB. The
-# refusal reads n alone, so it tells nothing about the edges.
+# 700^2 grid (n = 490,000) took 11.8 s at a peak RSS of 1.5 GB. Its
+# Lanczos basis adds up to 8 * _SPARSE_LANCZOS_STEPS * n bytes, 512 MB at
+# the cap, of which a run touches only the steps it takes. The refusal
+# reads n alone, so it tells nothing about the edges.
 _SPARSE_MAX_N = 500_000
+
+# Lanczos steps on the sparse route: 32 failed 2 of 50 random G(n, p) graphs
+# that 64 certified; random 8-regular graphs, whose lambda2 has close
+# neighbours, took 58-106 steps at n = 1,200-8,000
+_SPARSE_LANCZOS_STEPS = 128
 
 # The dense lambda2 route holds about three n x n float64 arrays, 24 n^2
 # bytes: the shifted Laplacian, a Cholesky factor and LAPACK's copy of its
@@ -103,10 +107,6 @@ _LANCZOS_MIN_N = 320
 # 13.8 and 26 ms at 400, 640 and 1,000 nodes, against 4.9, 12.8 and 36 ms)
 _LANCZOS_STEPS = 32
 
-# LOBPCG steps on the sparse route: 3-11 on the release's members, 190-250
-# on random 8-regular graphs, whose lambda2 has close neighbours
-_LOBPCG_MAXITER = 400
-
 # edge terms per plain numpy sum in _rayleigh_bound, whose block sums fsum
 # adds: a sum of k nonnegative terms in any order is within (k - 1) u of
 # exact, relative (Higham, Accuracy and Stability, 4.2). An fsum over
@@ -118,8 +118,8 @@ _SUM_BLOCK = 32
 # vector is within about (4.5 + _SUM_BLOCK / 2) eps of the exact one
 _RAYLEIGH_MARGIN = (16 + _SUM_BLOCK) * np.finfo(float).eps
 
-# inverse-iteration steps the dense route's upper check may take; one has
-# certified every graph tried, the rest cover close neighbours of lambda2
+# inverse-iteration steps the upper check may take once its first bound
+# fails; they cover close neighbours of lambda2
 _INVERSE_STEPS = 3
 
 # rows per diagonal block of _cholesky_solver: 32 and 64 were fastest at
@@ -371,12 +371,23 @@ def algebraic_connectivity(graph: Graph) -> float:
     """lambda2 alone, certified to within 1e-9.
 
     A graph above 500,000 nodes is refused on n alone, before either
-    route starts. A graph with more than 1024 nodes and mean degree at most 8 takes the
-    sparse route below; every other graph takes the dense one. Either way
-    an estimate within tol = 1e-9 of 0 or n is snapped onto that end of
-    the range, and the value r so obtained is then certified from below
-    by Sylvester's law of inertia (spectrum slicing; Parlett, The
-    Symmetric Eigenvalue Problem) and from above by a Rayleigh bound.
+    route starts. A graph with more than 1024 nodes and mean degree at
+    most 8 takes the sparse route below; every other graph takes the dense
+    one. The node count is public, so the choice leaks nothing the release
+    does not. Either way an estimate within tol = 1e-9 of 0 or n is
+    snapped onto that end of the range, and the value r so obtained is
+    then certified from below by Sylvester's law of inertia (spectrum
+    slicing; Parlett, The Symmetric Eigenvalue Problem) and from above by
+    Courant-Fischer over span{1, x} for a vector x (see _certify_upper),
+
+        lambda2 <= sum over edges (x_u - x_v)^2 / sum_i (x_i - mean x)^2,
+
+    which needs no factorization, only a stated rounding margin, and does
+    not depend on how many eigenvalues sit within tol of r (the star's
+    lambda2 = 1 has multiplicity n - 2). The lower side needs no test when
+    r - tol <= 0, because L is positive semidefinite, and the upper none
+    when r + tol >= n, because no Laplacian eigenvalue of an n-node graph
+    exceeds n.
 
     Dense: with s above every eigenvalue, the matrix
 
@@ -389,52 +400,36 @@ def algebraic_connectivity(graph: Graph) -> float:
     M(-tol) estimates lambda2 alone (see _lanczos): 1-9 steps on the
     benchmark's members. At or below 320 nodes, where it saves little and
     loses on random graphs, or when it stops at its 32-step cap or its
-    value fails a check below, the estimate is the second eigenvalue from
-    a dense symmetric solve that computes no eigenvectors, with s its
-    lambda_n + 1. The node count is public, so the choice leaks nothing
-    the release does not. One Cholesky factorization C of M(r - tol)
-    proves lambda2 >= r - tol, up to its backward error, about n eps s:
-    a proof while n s stays well below tol / eps ~ 9e6 (1.05e6 at
-    n = 1,024, 3.6e5 for K_600); near n = 3000 it reaches 9e6, and there
-    it is only a heuristic. From above, the Rayleigh bound below, of
-    Lanczos's Ritz vector, proves lambda2 <= r + tol (a proof, however
-    inexact the vector). Where it does not, or after eigvalsh: the least
-    eigenvalue of M(r - tol) is lambda2 - r + tol, about tol, so one solve
-    with C C^T from a fixed start (a step of inverse iteration) leaves a
-    vector close to lambda2's eigenspace for the same bound; up to three
-    steps are taken before the check fails. Graphs above 13,000 nodes are
-    refused here, before the 24 n^2 bytes the route needs are allocated.
+    value fails a check, the estimate is the second eigenvalue from a
+    dense symmetric solve that computes no eigenvectors, with s its
+    lambda_n + 1. One Cholesky factorization C of M(r - tol) proves
+    lambda2 >= r - tol, up to its backward error, about n eps s: a proof
+    while n s stays well below tol / eps ~ 9e6 (1.05e6 at n = 1,024,
+    3.6e5 for K_600); near n = 3000 it reaches 9e6, and there it is only
+    a heuristic. At r = 0 it is the factor Lanczos ran on. C C^T drives
+    the upper check: x is the Ritz vector, or after eigvalsh one solve
+    from sin(1..n), and up to three steps of inverse iteration follow
+    where its bound fails. Graphs above 13,000 nodes are refused here,
+    before the 24 n^2 bytes the route needs are allocated.
 
-    Sparse: the rank-one term would fill a sparse matrix, so it is applied
-    as an operator, x -> L x + (n + 1) mean(x) 1, whose least eigenvalue
-    is lambda2. A LOBPCG run (Knyazev, SIAM J. Sci. Comput. 23(2), 2001)
-    from a fixed start, so that the value repeats bit for bit, estimates
-    it, preconditioned by a sparse LU of L shifted just below 0 with the
-    constant vector projected out. It stops silently at a residual norm of
-    tol or after a fixed number of steps; two checks decide. Below, L - (r - tol) I must have exactly one negative
-    pivot in a sparse LU that kept to the diagonal, which is a symmetric
-    LDL^T factorization in exact arithmetic. It does not pivot, so its
-    backward error has no a-priori bound: where a leading block of the
-    elimination has an eigenvalue within about tol of lambda2, a pivot of
-    size tol is followed by entries of size 1/tol, and rounding can move
-    the count (22 of the 1,093 connected graphs on 2..5 nodes and 500
-    sampled 6-node ones miscount this way). Above, by Courant-Fischer
-    over span{1, x} for the returned vector x,
-
-        lambda2 <= sum over edges (x_u - x_v)^2 / sum_i (x_i - mean x)^2,
-
-    which needs no factorization, only a stated rounding margin, and does
-    not depend on how many eigenvalues sit within tol of r (the star's
-    lambda2 = 1 has multiplicity n - 2). When either side fails, a graph
-    within the dense route's node cap is solved again on the dense route;
-    a larger one raises.
-
-    The lower side needs no test when r - tol <= 0, because L is
-    positive semidefinite: the sparse route skips it, and the dense one
-    still factors M(-tol), which its upper check needs (after Lanczos it
-    keeps the factor Lanczos ran on). The dense upper check is skipped
-    when r + tol >= n, because no Laplacian eigenvalue of an n-node graph
-    exceeds n.
+    Sparse: the rank-one term would fill a sparse matrix, so the constant
+    vector is projected out instead: a sparse LU of L - sigma I, with
+    sigma = -1/n^2, solves from a centred right-hand side and its result
+    is centred again. That deflated solve's largest eigenvalue is
+    1 / (lambda2 - sigma), also where a disconnected graph repeats 0, and
+    the same Lanczos run on it estimates lambda2 in at most 128 steps.
+    Below, L - (r - tol) I must have exactly one negative pivot in a
+    sparse LU that kept to the diagonal, which is a symmetric LDL^T
+    factorization in exact arithmetic. It does not pivot, so its backward
+    error has no a-priori bound: where a leading block of the elimination
+    has an eigenvalue within about tol of lambda2, a pivot of size tol is
+    followed by entries of size 1/tol, and rounding can move the count
+    (20 of the 1,598 graphs on 2..6 nodes that the tests force onto this
+    route miscount this way). Above, x is the Ritz vector, and up to three
+    steps of inverse iteration with the deflated solve follow. When
+    Lanczos stops at its cap or either side fails, a graph within the
+    dense route's node cap is solved again on the dense route; a larger
+    one raises.
 
     Raises:
         ValueError: for a single node, a graph above 500,000 nodes, or a
@@ -474,46 +469,49 @@ def _lanczos_algebraic_connectivity(graph: Graph) -> float:
     C = _cholesky(M, diag, -tol)
     if C is None:
         raise NumericalError(f"inertia check: M(-{tol:.3e}) has no Cholesky factor")
-    estimate, x = _lanczos(C)
-    r = float(_snap(estimate, n))
+    solve = _cholesky_solver(C)
+    estimate, x = _lanczos(solve, n, _LANCZOS_STEPS)
+    r = float(_snap(estimate - tol, n))
     if r > 0.0:
         # at r = 0, M(r - tol) is M(-tol), whose factor Lanczos ran on
-        del C
+        del C, solve
         C = _cholesky(M, diag, r - tol)
         if C is None:
             raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
+        solve = _cholesky_solver(C)
     del M
-    if r + tol < n and not _rayleigh_bound(graph.pairs, x) <= r + tol:
-        _certify_upper(graph.pairs, C, r)
+    if r + tol < n:
+        _certify_upper(graph.pairs, solve, r, x)
     return r
 
 
-def _lanczos(C: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda2's estimate and its Ritz vector, by Lanczos on (C C^T)^-1.
+def _lanczos(solve, n: int, steps: int) -> tuple[float, np.ndarray]:
+    """1 / theta for the largest eigenvalue theta of solve, and its Ritz vector.
 
-    C C^T is M(-tol), whose least eigenvalue is lambda2 + tol, so the
-    largest of its inverse is theta = 1 / (lambda2 + tol) (shift-invert;
-    Ericsson and Ruhe, Math. Comp. 35, 1980). Single-vector Lanczos with
-    full reorthogonalisation, Gram-Schmidt twice (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 6 and 13), from the centred sin(1..n), which
-    leaves out the constant vector. It stops once the error estimate of the
-    largest Ritz value, carried into lambda-space, rho^2 / (theta^2 gap), is
-    below tol / 1000: rho is the Ritz pair's residual norm, gap the distance
-    to the next Ritz value (at the first step, theta itself). An invariant
-    subspace gives rho = 0, which ends K_n in one step and the star in two.
-    The estimate needs no proof; the checks that follow decide.
+    solve inverts a shifted Laplacian with the constant vector out of the
+    way, (C C^T)^-1 for the dense route's M(-tol) or the sparse route's
+    deflated solve at sigma, so theta is 1 / (lambda2 - shift) and the
+    caller adds its shift back (shift-invert; Ericsson and Ruhe, Math.
+    Comp. 35, 1980). Single-vector Lanczos with full reorthogonalisation,
+    Gram-Schmidt twice (Parlett, The Symmetric Eigenvalue Problem, ch. 6
+    and 13), from the centred sin(1..n), which leaves out the constant
+    vector. It stops once the error estimate of the largest Ritz value,
+    carried into lambda-space, rho^2 / (theta^2 gap), is below tol / 1000:
+    rho is the Ritz pair's residual norm, gap the distance to the next
+    Ritz value (at the first step, theta itself). An invariant subspace
+    gives rho = 0, which ends K_n in one step and the star in two. The
+    estimate needs no proof; the checks that follow decide.
 
     Raises:
-        NumericalError: after _LANCZOS_STEPS steps without that estimate.
+        NumericalError: after `steps` steps without that estimate.
     """
     tol = _LAMBDA2_TOL
-    solve = _cholesky_solver(C)
-    q = np.sin(np.arange(1.0, len(C) + 1.0))
+    q = np.sin(np.arange(1.0, n + 1.0))
     q -= q.mean()
-    Q = np.empty((_LANCZOS_STEPS, len(q)))
+    Q = np.empty((steps, n))
     Q[0] = q / np.linalg.norm(q)
-    T = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS))
-    for k in range(_LANCZOS_STEPS):
+    T = np.zeros((steps, steps))
+    for k in range(steps):
         basis = Q[: k + 1]
         w = solve(basis[k])
         T[k, k] = basis[k] @ w
@@ -525,11 +523,11 @@ def _lanczos(C: np.ndarray) -> tuple[float, np.ndarray]:
         gap = theta - ritz[-2] if k else theta
         rho = beta * abs(S[-1, -1])
         if rho * rho <= tol / 1000.0 * theta * theta * gap:
-            return 1.0 / theta - tol, S[:, -1] @ basis
-        if k + 1 < _LANCZOS_STEPS:
+            return 1.0 / theta, S[:, -1] @ basis
+        if k + 1 < steps:
             Q[k + 1] = w / beta
             T[k, k + 1] = T[k + 1, k] = beta
-    raise NumericalError(f"Lanczos: no estimate of lambda2 within {_LANCZOS_STEPS} steps")
+    raise NumericalError(f"Lanczos: no estimate of lambda2 within {steps} steps")
 
 
 def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.ndarray:
@@ -576,7 +574,8 @@ def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.nd
     if C is None:
         raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
     if r + tol < n:
-        _certify_upper(graph.pairs, C, r)
+        solve = _cholesky_solver(C)
+        _certify_upper(graph.pairs, solve, r, solve(np.sin(np.arange(1.0, n + 1.0))))
     return w
 
 
@@ -588,10 +587,8 @@ def _snap(w, n: int):
 def _sparse_algebraic_connectivity(graph: Graph) -> float:
     """algebraic_connectivity's sparse route; see its docstring."""
     from scipy import sparse
-    from scipy.sparse import linalg
 
-    tol = _LAMBDA2_TOL
-    n = graph.n
+    tol, n = _LAMBDA2_TOL, graph.n
     u, v = graph.pairs.T
     rows = np.concatenate([u, v, np.arange(n)])
     cols = np.concatenate([v, u, np.arange(n)])
@@ -599,35 +596,17 @@ def _sparse_algebraic_connectivity(graph: Graph) -> float:
     L = sparse.csc_matrix((weights, (rows, cols)), shape=(n, n))
     eye = sparse.identity(n, format="csc")
     # a connected graph has lambda2 >= 4 / (n diameter) > 4 / n^2 (Mohar
-    # 1991), so the shift stays below a quarter of lambda2 and the factor
-    # acts nearly as the inverse on lambda2's eigenvectors
+    # 1991), so the shift stays below a quarter of lambda2 and the solve
+    # favours lambda2's eigenvectors over the rest
     sigma = -1.0 / n**2
     lu = _symmetric_lu(L - sigma * eye)
 
-    def deflated_laplacian(X):
-        # L's null vector, the constant, moves to n + 1 > lambda_n, so the
-        # least eigenvalue is lambda2, also where a disconnected graph repeats 0
-        return L @ X + (n + 1) * X.mean(axis=0)
+    def deflated_inverse(x):
+        y = lu.solve(x - x.mean())
+        return y - y.mean()
 
-    def deflated_inverse(X):
-        Y = lu.solve(X - X.mean(axis=0))
-        return Y - Y.mean(axis=0)
-
-    # the deflated preconditioner cannot remove a constant part of the
-    # iterate, so the fixed start vector has none
-    x0 = np.random.default_rng(0).standard_normal((n, 1))
-    x0 -= x0.mean()
-    try:
-        with warnings.catch_warnings():
-            # lobpcg warns when it stops short of tol and when it takes a
-            # dense solve below 5 nodes; the checks below judge either way
-            warnings.simplefilter("ignore", UserWarning)
-            w, X = linalg.lobpcg(
-                deflated_laplacian, x0, M=deflated_inverse, tol=tol, maxiter=_LOBPCG_MAXITER, largest=False
-            )
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"LOBPCG did not converge: {exc}") from exc
-    r = float(_snap(w[0], n))
+    estimate, x = _lanczos(deflated_inverse, n, _SPARSE_LANCZOS_STEPS)
+    r = float(_snap(estimate + sigma, n))
     if r - tol > 0.0:
         shifted = _symmetric_lu(L - (r - tol) * eye)
         pivots = shifted.U.diagonal()
@@ -642,11 +621,8 @@ def _sparse_algebraic_connectivity(graph: Graph) -> float:
                 f"inertia check: lambda2 is below {r!r} - {tol:.3e} "
                 f"({negative} negative pivots, not 1)"
             )
-    q = _rayleigh_bound(graph.pairs, X[:, 0])
-    if not q <= r + tol:
-        raise NumericalError(
-            f"Rayleigh check: lambda2 may be above {r!r} + {tol:.3e} (bound {q!r})"
-        )
+    if r + tol < n:
+        _certify_upper(graph.pairs, deflated_inverse, r, x)
     return r
 
 
@@ -707,24 +683,24 @@ def _cholesky(M: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | Non
         return None
 
 
-def _certify_upper(pairs: np.ndarray, C: np.ndarray, r: float) -> None:
+def _certify_upper(pairs: np.ndarray, solve, r: float, x: np.ndarray) -> None:
     """Raise unless a Rayleigh bound puts lambda2 at most r + tol.
 
-    C is the Cholesky factor of M(r - tol), whose least eigenvalue
-    lambda2 - r + tol is about tol, while the others are lambda_i - r + tol
-    for i >= 3 and s - r + tol >= 1. A solve with C C^T (a step of inverse
-    iteration) scales lambda2's eigenspace up against the rest by their
-    ratio, and _rayleigh_bound makes the result a proof however inexact
-    the solve was. The start sin(1..n) is fixed, so the check repeats bit
-    for bit, and does not need numpy.random (5.6 MB of RSS to import).
-    One step certified every graph on n <= 6 and every benchmark member.
+    The bound of x comes first; where it fails, up to _INVERSE_STEPS steps
+    of inverse iteration with solve follow, each bounded in turn. solve is
+    (C C^T)^-1 for the dense factor C of M(r - tol), whose least
+    eigenvalue lambda2 - r + tol is about tol, or the sparse route's
+    deflated solve, whose largest eigenvalue is 1 / (lambda2 - sigma).
+    Either way a step scales lambda2's eigenspace up against the rest,
+    and _rayleigh_bound makes the result a proof however inexact the solve
+    was. Every start is fixed, so the check repeats bit for bit without
+    numpy.random (5.6 MB of RSS to import).
     """
     tol = _LAMBDA2_TOL
-    solve = _cholesky_solver(C)
-    x = np.sin(np.arange(1.0, len(C) + 1.0))
-    for _ in range(_INVERSE_STEPS):
-        x = solve(x)
-        x /= np.abs(x).max()
+    for step in range(_INVERSE_STEPS + 1):
+        if step:
+            x = solve(x)
+            x /= np.abs(x).max()
         q = _rayleigh_bound(pairs, x)
         if q <= r + tol:
             return
@@ -735,17 +711,19 @@ def _cholesky_solver(C: np.ndarray):
     """x -> (C C^T)^-1 x for a lower-triangular C, by blocked substitution.
 
     numpy has no triangular solve and the dense route does not import
-    scipy. Each diagonal block of _SOLVE_BLOCK rows is inverted once, so a
-    solve is matrix-vector products alone: forward through C, then back
-    through C^T, each block after one product with the rows or columns
-    already solved. At n = 1,024 on a 2-core Xeon the inverses take about
+    scipy. Each diagonal block of _SOLVE_BLOCK rows is inverted at the
+    first solve, so an unused solver costs nothing, and a solve is
+    matrix-vector products alone: forward through C, then back through
+    C^T, each block after one product with the rows or columns solved. At n = 1,024 on a 2-core Xeon the inverses take about
     0.6 ms and a solve 0.4 ms (1.0 ms with np.linalg.solve on each block),
     against 6-13 ms for the factorization.
     """
     starts = range(0, len(C), _SOLVE_BLOCK)
-    inverses = [np.linalg.inv(C[i : i + _SOLVE_BLOCK, i : i + _SOLVE_BLOCK]) for i in starts]
+    inverses = []
 
     def solve(x: np.ndarray) -> np.ndarray:
+        if not inverses:
+            inverses.extend(np.linalg.inv(C[i : i + _SOLVE_BLOCK, i : i + _SOLVE_BLOCK]) for i in starts)
         z = x.copy()
         for i, inverse in zip(starts, inverses):
             j = i + _SOLVE_BLOCK

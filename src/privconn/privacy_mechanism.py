@@ -338,13 +338,14 @@ class PrivateRelease:
 def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:
     """Release the graph's algebraic connectivity under the given budget.
 
-    Computes lambda2 certified to 1e-9 (see algebraic_connectivity), on
-    either route from above by a Rayleigh bound (a proof). From below,
-    the dense route has one Cholesky at r - 1e-9 (a proof up to its
-    backward error, about n eps (lambda_n + 1)); the sparse route, taken
-    by graphs above 1024 nodes with mean degree at most 8, has a pivot
-    count whose unpivoted LU has no a-priori error bound. It then solves the minimal feasible scale for the
-    graph's node count and draws once from the truncated Laplace
+    Computes lambda2 certified to 1e-9 (see algebraic_connectivity): both
+    routes estimate it by shift-invert Lanczos (small dense graphs by
+    eigvalsh) and bound it from above by a Rayleigh bound (a proof). From
+    below, the dense route has one Cholesky at r - 1e-9 (a proof up to its
+    backward error, about n eps (lambda_n + 1)); the sparse route, taken by
+    graphs above 1024 nodes with mean degree at most 8, has a pivot count
+    whose unpivoted LU has no a-priori error bound. It then solves the
+    minimal feasible scale for n and draws once from the truncated Laplace
     centered at that value. Only the sparse route imports scipy.
     """
     return _release(algebraic_connectivity(graph), graph.n, params, rng)

@@ -279,6 +279,6 @@ def min_degree_inference(lambda2: float, n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got n = {n}")
-    if lambda2 < 0.0:
-        raise ValueError(f"connectivity value must be nonnegative, got {lambda2}")
+    if not (lambda2 >= 0.0 and math.isfinite(lambda2)):
+        raise ValueError(f"connectivity value must be nonnegative and finite, got {lambda2}")
     return max(0, math.ceil(lambda2 * (n - 1.0) / n - 1e-9))

@@ -341,26 +341,14 @@ def _force_sparse(monkeypatch):
     monkeypatch.setattr(graph_core, "_SPARSE_MAX_MEAN_DEGREE", math.inf)
 
 
-def _shift_sparse_estimate(monkeypatch, by):
-    """Move the estimate scipy's lobpcg hands the sparse route by `by`."""
-    from scipy.sparse import linalg
-
-    lobpcg = linalg.lobpcg
-
-    def shifted(*args, **kwargs):
-        w, X = lobpcg(*args, **kwargs)
-        return w + by, X
-
-    monkeypatch.setattr(linalg, "lobpcg", shifted)
-
-
 def _shift_lanczos_estimate(monkeypatch, by):
-    """Move the dense route's Lanczos estimate by `by`; return its calls."""
+    """Move either route's Lanczos estimate by `by`; return the node counts
+    it ran on."""
     lanczos, calls = graph_core._lanczos, []
 
-    def shifted(C):
-        calls.append(len(C))
-        estimate, x = lanczos(C)
+    def shifted(solve, n, steps):
+        calls.append(n)
+        estimate, x = lanczos(solve, n, steps)
         return estimate + by, x
 
     monkeypatch.setattr(graph_core, "_lanczos", shifted)
@@ -395,7 +383,7 @@ class TestAlgebraicConnectivity:
             return laplacian(graph)
 
         with monkeypatch.context() as m, warnings.catch_warnings():
-            # the route silences lobpcg's warnings; nothing else may warn
+            # neither route, nor scipy under the sparse one, may warn
             warnings.simplefilter("error")
             _force_sparse(m)
             m.setattr(graph_core, "laplacian", counted)
@@ -666,6 +654,25 @@ class TestAlgebraicConnectivity:
         proc = fresh_python(script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_sparse_route_draws_nothing_from_numpy_random(self, fresh_python):
+        # scipy's own import loads numpy.random, so the module is poisoned
+        # after it instead: the route's start vectors must be fixed ones
+        script = (
+            "import math\n"
+            "import numpy as np\n"
+            "import scipy.sparse.linalg\n"
+            "from privconn import Graph, algebraic_connectivity, graph_core\n"
+            "class Refused:\n"
+            "    def __getattr__(self, name):\n"
+            "        raise AssertionError('numpy.random.' + name)\n"
+            "np.random = Refused()\n"
+            "graph_core.laplacian = None  # the dense route would call it\n"
+            "g = Graph.from_edges(1100, [(i, (i + 1) % 1100) for i in range(1100)])\n"
+            "assert abs(algebraic_connectivity(g) - (2 - 2 * math.cos(2 * math.pi / 1100))) < 1e-9\n"
+        )
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_rayleigh_bound_covers_the_exact_quotient(self):
         # the exact quotient of each rounded vector, over its exact mean, in
         # rationals; without _RAYLEIGH_MARGIN about half of these fall below
@@ -693,19 +700,51 @@ class TestAlgebraicConnectivity:
         # from both ends of [0, 4096], so no snap absorbs a 2 tol shift
         want = 2.0 - 2.0 * math.cos(2.0 * math.pi / 4096)
         assert algebraic_connectivity(self.C4096) == pytest.approx(want, abs=_LAMBDA2_TOL)
-        _shift_sparse_estimate(monkeypatch, sign * 2.0 * _LAMBDA2_TOL)
+        calls = _shift_lanczos_estimate(monkeypatch, sign * 2.0 * _LAMBDA2_TOL)
         monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
         with pytest.raises(NumericalError, match=message):
             algebraic_connectivity(self.C4096)
+        assert calls == [4096]
 
     def test_sparse_failure_falls_back_to_dense(self, monkeypatch):
         # an estimate 2 tol too high fails the sparse lower check; a graph
-        # within the dense cap is then solved again on the dense route
+        # within the dense cap is then solved again on the dense route,
+        # here by eigvalsh
         g = _graph(64, _cycle_edges(64))
         dense = algebraic_connectivity(g)
         _force_sparse(monkeypatch)
-        _shift_sparse_estimate(monkeypatch, 2.0 * _LAMBDA2_TOL)
+        calls = _shift_lanczos_estimate(monkeypatch, 2.0 * _LAMBDA2_TOL)
         assert algebraic_connectivity(g) == dense
+        assert calls == [64]
+
+    def test_sparse_step_cap_falls_back_to_dense(self, monkeypatch):
+        # one step leaves C_64's Ritz value far from converged: the sparse
+        # route gives up, the dense one answers, and without it the route
+        # raises
+        g = _graph(64, _cycle_edges(64))
+        dense = algebraic_connectivity(g)
+        _force_sparse(monkeypatch)
+        monkeypatch.setattr(graph_core, "_SPARSE_LANCZOS_STEPS", 1)
+        eigvalsh = _count_eigvalsh(monkeypatch)
+        assert algebraic_connectivity(g) == dense
+        assert eigvalsh == [64]
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
+        with pytest.raises(NumericalError, match="Lanczos: no estimate of lambda2 within 1 steps"):
+            algebraic_connectivity(g)
+
+    def test_sparse_upper_check_takes_an_inverse_step(self, monkeypatch):
+        # G(200, p) at mean degree about 2 falls apart, so lambda2 = 0 is a
+        # repeated eigenvalue; the Ritz vector's bound misses tol and one
+        # solve with the deflated LU certifies it
+        rng = np.random.default_rng(0)
+        u, v = np.triu_indices(200, 1)
+        keep = rng.random(len(u)) < 2.0 / 199
+        g = Graph(200, np.stack([u[keep], v[keep]], axis=1))
+        _force_sparse(monkeypatch)
+        monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
+        _, _, bounds = self._count_dense_work(monkeypatch)
+        assert algebraic_connectivity(g) == 0.0
+        assert len(bounds) >= 2 and bounds[0] > _LAMBDA2_TOL >= bounds[-1]
 
     def test_sparse_inertia_needs_a_symmetric_permutation(self, monkeypatch):
         # the real factors, but with the rows reordered: their pivots still
@@ -725,15 +764,10 @@ class TestAlgebraicConnectivity:
             algebraic_connectivity(self.C4096)
 
     def test_sparse_route_failure_is_a_numerical_error(self, monkeypatch):
-        from scipy.sparse import linalg
-
-        def diverges(*args, **kwargs):
-            # what lobpcg raises when its last Rayleigh-Ritz step breaks down
-            raise ValueError("eigh has failed in lobpcg postprocessing")
-
-        monkeypatch.setattr(linalg, "lobpcg", diverges)
+        # Lanczos stopping at its step cap, with no dense route to fall to
+        monkeypatch.setattr(graph_core, "_SPARSE_LANCZOS_STEPS", 1)
         monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
-        with pytest.raises(NumericalError, match="did not converge"):
+        with pytest.raises(NumericalError, match="no estimate of lambda2 within 1 steps"):
             algebraic_connectivity(self.C4096)
 
     def test_dense_route_refuses_a_graph_above_its_cap(self, monkeypatch):

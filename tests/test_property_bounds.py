@@ -334,3 +334,11 @@ class TestMinDegree:
 
     def test_never_negative(self):
         assert min_degree_inference(0.0, 5) == 0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_refuses_a_value_that_is_negative_or_not_finite(self, value):
+        # math.ceil used to raise OverflowError on inf and an int
+        # conversion error on nan; each is now refused by name, as
+        # _check_pair does
+        with pytest.raises(ValueError, match=f"connectivity value must be nonnegative and finite, got {value}"):
+            min_degree_inference(value, 5)
