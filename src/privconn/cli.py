@@ -7,7 +7,8 @@ the empirical audits, and demo the exact-release reconstruction attack.
 Reports are JSON (sections: inputs, public_statistics, results, audit,
 plus a generated_at timestamp; keys sorted, so output is reproducible up
 to the timestamp); the tabular outputs (consensus curve, bounds sweep)
-can be CSV instead. --output takes a path or - for stdout. Exit codes:
+can be CSV instead. A report that would hold a NaN or an infinity exits
+2 and names the field. --output takes a path or - for stdout. Exit codes:
 0 success, 2 bad input, 3 infeasible privacy parameters, 4 numerical
 failure, 5 audit failure.
 """
@@ -102,10 +103,27 @@ def _json_report(inputs: dict, public: dict, results: dict, audit: dict | None =
     }
     if audit is not None:
         payload["audit"] = audit
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        # the walk runs only to name the field
+        _require_finite(payload, "")
+        raise
+
+
+def _require_finite(value, field: str) -> None:
+    """Raise ValueError naming field, or its member, that holds a NaN or an
+    infinity: JSON (RFC 8259) has no such number, nor has a numeric CSV cell."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _require_finite(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field} is {value!r}; a report holds finite numbers only")
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
+    for i, row in enumerate(rows, start=1):
+        _require_finite(dict(zip(header, row)), f"row {i}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -8,15 +8,16 @@ certificate, and Seidel's all-pairs algorithm for the exact distances.
 algebraic_connectivity returns lambda2 alone, within 1e-9, with two
 one-sided certificates: from below, an eigenvalue's index, by Sylvester's
 law of inertia; from above, a Rayleigh bound. Both routes estimate by one
-shift-invert Lanczos kernel and take the Rayleigh bound of its Ritz
-vector. Dense: on the Cholesky factor of the shifted Laplacian, above
-320 nodes (at or below that, or where Lanczos fails, an eigenvalue-only
-solve of the whole spectrum estimates), and a Cholesky at r - 1e-9 below.
+shift-invert Lanczos kernel, capped at 128 steps on both, and take the
+Rayleigh bound of its Ritz vector. Dense: on the Cholesky factor of the
+shifted Laplacian, above 320 nodes (at or below that, or where Lanczos
+fails, an eigenvalue-only solve of the whole spectrum estimates), and
+either estimate gets the same certificate, a Cholesky at r - 1e-9 below.
 Sparse, on large sparse graphs: on a sparse LU of the Laplacian shifted
 just below 0, and a sparse pivot count below. Its docstring says what
-each check proves. spectrum runs the whole-spectrum solve with the same
-checks, certifies lambda_n by two inertia tests, and returns those two
-values alone.
+each check proves. spectrum certifies the whole-spectrum solve's lambda2
+as the dense route does, certifies lambda_n by two inertia tests, and
+returns those two values alone.
 
 Seidel costs O(n^3 log diameter) in BLAS matrix products against O(n m)
 for n BFS passes in Python, so BFS is faster only on long thin graphs:
@@ -77,15 +78,17 @@ _SPARSE_MAX_MEAN_DEGREE = 8
 # their edges: the sparse route's length-n work arrays cost about 500
 # bytes a node (about 550 MB at n = 10^6 with a single edge), and the
 # 700^2 grid (n = 490,000) took 11.8 s at a peak RSS of 1.5 GB. Its
-# Lanczos basis adds up to 8 * _SPARSE_LANCZOS_STEPS * n bytes, 512 MB at
+# Lanczos basis adds up to 8 * _LANCZOS_STEPS * n bytes, 512 MB at
 # the cap, of which a run touches only the steps it takes. The refusal
 # reads n alone, so it tells nothing about the edges.
 _SPARSE_MAX_N = 500_000
 
-# Lanczos steps on the sparse route: 32 failed 2 of 50 random G(n, p) graphs
-# that 64 certified; random 8-regular graphs, whose lambda2 has close
-# neighbours, took 58-106 steps at n = 1,200-8,000
-_SPARSE_LANCZOS_STEPS = 128
+# Lanczos steps on either route before it gives up. Random 8-regular
+# graphs, whose lambda2 has close neighbours, took 58-106 steps at
+# n = 1,200-8,000; a cap of 32 stopped 7 of 9 dense G(n, p) graphs at mean
+# degree 200 (n = 400-1,000), 48 none. The dense basis is 13 MB at 13,000
+# nodes, against the dense route's 24 n^2 bytes
+_LANCZOS_STEPS = 128
 
 # The dense lambda2 route holds about three n x n float64 arrays, 24 n^2
 # bytes: the shifted Laplacian, a Cholesky factor and LAPACK's copy of its
@@ -101,11 +104,6 @@ _DENSE_MAX_N = 13_000
 # star, G(n, p) at mean degree 8 and 32); at 256, G(n, p) at mean degree
 # 32 took up to twice as long.
 _LANCZOS_MIN_N = 320
-
-# Lanczos steps before the dense route falls back to eigvalsh: a failed
-# attempt, its factorization included, then costs about one eigvalsh (6.6,
-# 13.8 and 26 ms at 400, 640 and 1,000 nodes, against 4.9, 12.8 and 36 ms)
-_LANCZOS_STEPS = 32
 
 # edge terms per plain numpy sum in _rayleigh_bound, whose block sums fsum
 # adds: a sum of k nonnegative terms in any order is within (k - 1) u of
@@ -363,8 +361,19 @@ def spectrum(graph: Graph) -> SpectralSummary:
         NumericalError: if the solver does not converge or a test
             contradicts the value.
     """
-    w = _dense_eigenvalues(graph, "spectrum", lambda_n=True)
-    return SpectralSummary(lambda2=float(w[1]), lambda_n=float(w[-1]))
+    L, w = _eigvalsh(graph, "spectrum")
+    tol, n, top = _LAMBDA2_TOL, graph.n, float(_snap(w[-1], graph.n))
+    # -L with sigma - degree on its diagonal is sigma I - L; negating in
+    # place, and back, keeps to the route's three n x n arrays
+    degrees = L.diagonal().copy()
+    L *= -1.0
+    if top + tol < n and _cholesky(L, -degrees, -(top + tol)) is None:
+        raise NumericalError(f"inertia check: lambda_n is above {top!r} + {tol:.3e}")
+    if _cholesky(L, -degrees, -(top - tol)) is not None:
+        raise NumericalError(f"inertia check: lambda_n is below {top!r} - {tol:.3e}")
+    L *= -1.0
+    np.fill_diagonal(L, degrees)
+    return SpectralSummary(lambda2=_dense_lambda2(graph, L, w), lambda_n=top)
 
 
 def algebraic_connectivity(graph: Graph) -> float:
@@ -398,19 +407,20 @@ def algebraic_connectivity(graph: Graph) -> float:
     lambda2 > sigma. Above 320 nodes s = n + 1, which no eigenvalue
     reaches, and a shift-invert Lanczos run on the Cholesky factor of
     M(-tol) estimates lambda2 alone (see _lanczos): 1-9 steps on the
-    benchmark's members. At or below 320 nodes, where it saves little and
-    loses on random graphs, or when it stops at its 32-step cap or its
-    value fails a check, the estimate is the second eigenvalue from a
-    dense symmetric solve that computes no eigenvectors, with s its
-    lambda_n + 1. One Cholesky factorization C of M(r - tol) proves
+    benchmark's members, at most 128 as on the sparse route. At or below
+    320 nodes, where it saves little and loses on random graphs, or when
+    it stops at its step cap or its value fails a check, the estimate is
+    the second eigenvalue from a dense symmetric solve that computes no
+    eigenvectors, with s its lambda_n + 1. Either estimate gets the same
+    certificate. One Cholesky factorization C of M(r - tol) proves
     lambda2 >= r - tol, up to its backward error, about n eps s: a proof
     while n s stays well below tol / eps ~ 9e6 (1.05e6 at n = 1,024,
     3.6e5 for K_600); near n = 3000 it reaches 9e6, and there it is only
-    a heuristic. At r = 0 it is the factor Lanczos ran on. C C^T drives
-    the upper check: x is the Ritz vector, or after eigvalsh one solve
-    from sin(1..n), and up to three steps of inverse iteration follow
-    where its bound fails. Graphs above 13,000 nodes are refused here,
-    before the 24 n^2 bytes the route needs are allocated.
+    a heuristic. At r = 0 after Lanczos it is the factor Lanczos ran on.
+    C C^T drives the upper check: x is the Ritz vector, or after eigvalsh
+    one solve from sin(1..n), and up to three steps of inverse iteration
+    follow where its bound fails. Graphs above 13,000 nodes are refused
+    here, before the 24 n^2 bytes the route needs are allocated.
 
     Sparse: the rank-one term would fill a sparse matrix, so the constant
     vector is projected out instead: a sparse LU of L - sigma I, with
@@ -451,41 +461,14 @@ def algebraic_connectivity(graph: Graph) -> float:
                 raise
     if _LANCZOS_MIN_N < n <= _DENSE_MAX_N:
         try:
-            return _lanczos_algebraic_connectivity(graph)
+            return _dense_lambda2(graph, laplacian(graph))
         except NumericalError:
-            # Lanczos stopped at its step cap or its value failed a check;
-            # eigvalsh decides afresh
+            # Lanczos stopped at its step cap or failed a check; eigvalsh decides afresh
             pass
-    return float(_dense_eigenvalues(graph, "algebraic connectivity")[1])
+    return _dense_lambda2(graph, *_eigvalsh(graph, "algebraic connectivity"))
 
 
-def _lanczos_algebraic_connectivity(graph: Graph) -> float:
-    """algebraic_connectivity's dense route above _LANCZOS_MIN_N nodes; see
-    its docstring. Raises NumericalError for the caller to fall back."""
-    tol, n = _LAMBDA2_TOL, graph.n
-    M = laplacian(graph)
-    M += (n + 1) / n
-    diag = M.diagonal().copy()
-    C = _cholesky(M, diag, -tol)
-    if C is None:
-        raise NumericalError(f"inertia check: M(-{tol:.3e}) has no Cholesky factor")
-    solve = _cholesky_solver(C)
-    estimate, x = _lanczos(solve, n, _LANCZOS_STEPS)
-    r = float(_snap(estimate - tol, n))
-    if r > 0.0:
-        # at r = 0, M(r - tol) is M(-tol), whose factor Lanczos ran on
-        del C, solve
-        C = _cholesky(M, diag, r - tol)
-        if C is None:
-            raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
-        solve = _cholesky_solver(C)
-    del M
-    if r + tol < n:
-        _certify_upper(graph.pairs, solve, r, x)
-    return r
-
-
-def _lanczos(solve, n: int, steps: int) -> tuple[float, np.ndarray]:
+def _lanczos(solve, n: int) -> tuple[float, np.ndarray]:
     """1 / theta for the largest eigenvalue theta of solve, and its Ritz vector.
 
     solve inverts a shifted Laplacian with the constant vector out of the
@@ -503,11 +486,12 @@ def _lanczos(solve, n: int, steps: int) -> tuple[float, np.ndarray]:
     estimate needs no proof; the checks that follow decide.
 
     Raises:
-        NumericalError: after `steps` steps without that estimate.
+        NumericalError: after _LANCZOS_STEPS steps without that estimate.
     """
     tol = _LAMBDA2_TOL
     q = np.sin(np.arange(1.0, n + 1.0))
     q -= q.mean()
+    steps = _LANCZOS_STEPS
     Q = np.empty((steps, n))
     Q[0] = q / np.linalg.norm(q)
     T = np.zeros((steps, steps))
@@ -530,10 +514,9 @@ def _lanczos(solve, n: int, steps: int) -> tuple[float, np.ndarray]:
     raise NumericalError(f"Lanczos: no estimate of lambda2 within {steps} steps")
 
 
-def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.ndarray:
-    """Every Laplacian eigenvalue from one eigvalsh, snapped, with lambda2
-    certified from both sides and, if asked, lambda_n; see
-    algebraic_connectivity and spectrum."""
+def _eigvalsh(graph: Graph, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Laplacian and its eigenvalues from one eigvalsh, unsnapped; the
+    dense route's node limits are checked before anything is built."""
     n = graph.n
     if n < 2:
         raise ValueError(f"{what} requires at least 2 nodes")
@@ -547,36 +530,39 @@ def _dense_eigenvalues(graph: Graph, what: str, lambda_n: bool = False) -> np.nd
     try:
         # L is exactly symmetric, so L.T is L in column order: numpy hands
         # it to LAPACK with a contiguous copy instead of a transposing one
-        w = np.linalg.eigvalsh(L.T)
+        return L, np.linalg.eigvalsh(L.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    s = float(w[-1]) + 1.0
-    w = _snap(w, n)
-    tol, r, top = _LAMBDA2_TOL, float(w[1]), float(w[-1])
-    if lambda_n:
-        # -L with sigma - degree on its diagonal is sigma I - L; negating in
-        # place, and back, keeps to the route's three n x n arrays
-        degrees = L.diagonal().copy()
-        L *= -1.0
-        if top + tol < n and _cholesky(L, -degrees, -(top + tol)) is None:
-            raise NumericalError(f"inertia check: lambda_n is above {top!r} + {tol:.3e}")
-        if _cholesky(L, -degrees, -(top - tol)) is not None:
-            raise NumericalError(f"inertia check: lambda_n is below {top!r} - {tol:.3e}")
-        L *= -1.0
-        np.fill_diagonal(L, degrees)
-    # L becomes M(r - tol) in place: the constant vector's eigenvalue 0
-    # moves to s - r + tol >= 1 + tol. Its factor proves the lower side
-    # and drives the upper one; at r = 0 it only supplies the factor
-    L += s / n
-    C = _cholesky(L, L.diagonal().copy(), r - tol)
-    # the upper check needs only the factor
-    del L
-    if C is None:
-        raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
+
+
+def _dense_lambda2(graph: Graph, M: np.ndarray, w: np.ndarray | None = None) -> float:
+    """algebraic_connectivity's dense route on the Laplacian M, which it
+    overwrites: one certificate of w[1], for the eigenvalues w of _eigvalsh,
+    or of Lanczos's estimate where w is None. Raises NumericalError."""
+    tol, n = _LAMBDA2_TOL, graph.n
+    M += (n + 1.0 if w is None else float(w[-1]) + 1.0) / n
+    diag = M.diagonal().copy()
+
+    def factor(r: float):
+        C = _cholesky(M, diag, r - tol)
+        if C is None:
+            raise NumericalError(f"inertia check: lambda2 is below {r!r} - {tol:.3e}")
+        return _cholesky_solver(C)
+
+    if w is None:
+        solve = factor(0.0)
+        estimate, x = _lanczos(solve, n)
+        r = float(_snap(estimate - tol, n))
+    else:
+        r, x = float(_snap(w[1], n)), None
+    # Lanczos ran on the factor of M(-tol), which certifies r = 0; any
+    # other r needs its own, and the old one goes before it is made
+    if w is not None or r > 0.0:
+        solve = None
+        solve = factor(r)
     if r + tol < n:
-        solve = _cholesky_solver(C)
-        _certify_upper(graph.pairs, solve, r, solve(np.sin(np.arange(1.0, n + 1.0))))
-    return w
+        _certify_upper(graph.pairs, solve, r, solve(np.sin(np.arange(1.0, n + 1.0))) if x is None else x)
+    return r
 
 
 def _snap(w, n: int):
@@ -605,7 +591,7 @@ def _sparse_algebraic_connectivity(graph: Graph) -> float:
         y = lu.solve(x - x.mean())
         return y - y.mean()
 
-    estimate, x = _lanczos(deflated_inverse, n, _SPARSE_LANCZOS_STEPS)
+    estimate, x = _lanczos(deflated_inverse, n)
     r = float(_snap(estimate + sigma, n))
     if r - tol > 0.0:
         shifted = _symmetric_lu(L - (r - tol) * eye)
@@ -677,7 +663,7 @@ def _cholesky(M: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | Non
     np.fill_diagonal(M, diag - shift)
     try:
         # M is exactly symmetric; its transpose is the column-major view
-        # LAPACK takes without a transposing copy (see _dense_eigenvalues)
+        # LAPACK takes without a transposing copy (see _eigvalsh)
         return np.linalg.cholesky(M.T)
     except np.linalg.LinAlgError:
         return None

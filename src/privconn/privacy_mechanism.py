@@ -338,15 +338,10 @@ class PrivateRelease:
 def privatize(graph: Graph, params: PrivacyParams, rng: np.random.Generator) -> PrivateRelease:
     """Release the graph's algebraic connectivity under the given budget.
 
-    Computes lambda2 certified to 1e-9 (see algebraic_connectivity): both
-    routes estimate it by shift-invert Lanczos (small dense graphs by
-    eigvalsh) and bound it from above by a Rayleigh bound (a proof). From
-    below, the dense route has one Cholesky at r - 1e-9 (a proof up to its
-    backward error, about n eps (lambda_n + 1)); the sparse route, taken by
-    graphs above 1024 nodes with mean degree at most 8, has a pivot count
-    whose unpivoted LU has no a-priori error bound. It then solves the
-    minimal feasible scale for n and draws once from the truncated Laplace
-    centered at that value. Only the sparse route imports scipy.
+    Computes lambda2 certified to 1e-9 by algebraic_connectivity, whose
+    docstring says which route a graph takes and what each check proves,
+    then solves the minimal feasible scale for n and draws once from the
+    truncated Laplace centered at that value.
     """
     return _release(algebraic_connectivity(graph), graph.n, params, rng)
 

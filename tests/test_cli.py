@@ -290,6 +290,14 @@ class TestConsensus:
         code, _ = run(capsys, self.ARGS + ["--format", "csv"] + bad)
         assert code == 2
 
+    def test_infinite_settle_time_exits_2(self, capsys):
+        # the least positive double settles after infinite time, which a
+        # JSON report cannot hold
+        code = main(["consensus", "--lambda2", "5e-324", "--n", "10"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "results.settle_time is inf" in err
+
 
 class TestBounds:
     def test_pinned_alpha_is_used_verbatim(self, capsys):
@@ -341,6 +349,20 @@ class TestBounds:
         code, out = run(capsys, ["bounds", "--lambda2", "1.0", "--n", "10"] + bad)
         assert code == 2
         assert out == ""
+
+    def test_infinite_bounds_exit_2(self, capsys):
+        # lambda2 = 5e-324 puts every exact distance bound at infinity
+        code = main(["bounds", "--lambda2", "5e-324", "--n", "10"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "results.bounds.d_lower is inf" in err
+
+    def test_infinite_sweep_cell_exits_2(self, capsys):
+        argv = ["bounds", "--lambda2", "5e-324", "--n", "10", "--sweep-eps", "0.1:2:2", "--format", "csv"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "row 1.exact_d_lower is inf" in err
 
     def test_cached_parser_keeps_no_state(self, capsys):
         argv = ["bounds", "--lambda2", "1.0", "--n", "10"]
@@ -512,20 +534,30 @@ class TestAttackDemo:
         code, _ = run(capsys, ["attack-demo", "--input", str(path), "--node", "4"])
         assert code == 2
 
+    def test_empty_candidate_set_exits_2(self, capsys, tmp_path):
+        # no candidate survives a window far narrower than the 1e-9 lambda2
+        # is certified to, so every edge frequency is 0/0
+        path = tmp_path / "cycle.txt"
+        path.write_text(CYCLE4)
+        code = main(["attack-demo", "--input", str(path), "--node", "0", "--tol", "1e-300"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "results.exact_release_leak.edge_frequencies.0-1 is nan" in err
+
     def test_one_eigensolve_feeds_the_attack_and_the_release(self, capsys, tmp_path, monkeypatch):
-        solve = graph_core._dense_eigenvalues
+        eigvalsh = np.linalg.eigvalsh
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return solve(*args, **kwargs)
+        def counted(L):
+            calls.append(len(L))
+            return eigvalsh(L)
 
-        monkeypatch.setattr(graph_core, "_dense_eigenvalues", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         path = tmp_path / "cycle.txt"
         path.write_text(CYCLE4)
         code, rep = run_json(capsys, ["attack-demo", "--input", str(path), "--node", "3", "--seed", "5"])
         assert code == 0
-        assert calls == ["algebraic connectivity"]
+        assert calls == [4]
         graph = from_edge_list(CYCLE4)
         params = PrivacyParams(epsilon=0.4, delta=0.05, A=1)
         release = privatize(graph, params, np.random.default_rng(5))

@@ -346,9 +346,9 @@ def _shift_lanczos_estimate(monkeypatch, by):
     it ran on."""
     lanczos, calls = graph_core._lanczos, []
 
-    def shifted(solve, n, steps):
+    def shifted(solve, n):
         calls.append(n)
-        estimate, x = lanczos(solve, n, steps)
+        estimate, x = lanczos(solve, n)
         return estimate + by, x
 
     monkeypatch.setattr(graph_core, "_lanczos", shifted)
@@ -629,16 +629,33 @@ class TestAlgebraicConnectivity:
         assert calls == [64] and eigvalsh == [64]
 
     def test_lanczos_step_cap_falls_back_to_eigvalsh(self, monkeypatch):
-        # one step leaves C_64's Ritz value far from converged
-        g = _graph(64, _cycle_edges(64))
-        dense = algebraic_connectivity(g)
-        monkeypatch.setattr(graph_core, "_LANCZOS_MIN_N", 0)
+        # one step leaves P_512's Ritz value far from converged, so the
+        # dense route above the crossover gives up on Lanczos and certifies
+        # eigvalsh's estimate: spectrum's value bit for bit, and within
+        # 2 tol of Lanczos's
+        g = _graph(512, _path_edges(512))
+        assert 512 > graph_core._LANCZOS_MIN_N
+        lanczos, dense = algebraic_connectivity(g), spectrum(g).lambda2
         monkeypatch.setattr(graph_core, "_LANCZOS_STEPS", 1)
-        with pytest.raises(NumericalError, match="no estimate of lambda2 within 1 steps"):
-            graph_core._lanczos_algebraic_connectivity(g)
         eigvalsh = _count_eigvalsh(monkeypatch)
-        assert algebraic_connectivity(g) == dense
-        assert eigvalsh == [64]
+        got = algebraic_connectivity(g)
+        assert got == dense and abs(got - lanczos) <= 2.0 * _LAMBDA2_TOL
+        assert eigvalsh == [512]
+
+    @pytest.mark.parametrize("n, seed", [(400, 2), (400, 3), (640, 1)])
+    def test_dense_random_graph_at_mean_degree_200_runs_no_eigvalsh(self, monkeypatch, n, seed):
+        # lambda2 of G(n, p) at mean degree 200 has close neighbours; a
+        # 32-step cap stopped Lanczos on each of these graphs, which then
+        # paid for eigvalsh too. Under the 128-step cap Lanczos certifies
+        # them with the factorizations of M(-tol) and M(r - tol) alone
+        u, v = np.triu_indices(n, 1)
+        keep = np.random.default_rng(seed).random(len(u)) < 200.0 / (n - 1)
+        g = Graph(n, np.stack([u[keep], v[keep]], axis=1))
+        want = spectrum(g).lambda2
+        eigvalsh = _count_eigvalsh(monkeypatch)
+        _, factored, _ = self._count_dense_work(monkeypatch)
+        assert abs(algebraic_connectivity(g) - want) <= 2.0 * _LAMBDA2_TOL
+        assert eigvalsh == [] and len(factored) <= 2
 
     def test_dense_route_loads_neither_scipy_nor_numpy_random(self, fresh_python):
         # importing numpy.random costs about 5.6 MB of RSS; the dense
@@ -724,7 +741,7 @@ class TestAlgebraicConnectivity:
         g = _graph(64, _cycle_edges(64))
         dense = algebraic_connectivity(g)
         _force_sparse(monkeypatch)
-        monkeypatch.setattr(graph_core, "_SPARSE_LANCZOS_STEPS", 1)
+        monkeypatch.setattr(graph_core, "_LANCZOS_STEPS", 1)
         eigvalsh = _count_eigvalsh(monkeypatch)
         assert algebraic_connectivity(g) == dense
         assert eigvalsh == [64]
@@ -765,7 +782,7 @@ class TestAlgebraicConnectivity:
 
     def test_sparse_route_failure_is_a_numerical_error(self, monkeypatch):
         # Lanczos stopping at its step cap, with no dense route to fall to
-        monkeypatch.setattr(graph_core, "_SPARSE_LANCZOS_STEPS", 1)
+        monkeypatch.setattr(graph_core, "_LANCZOS_STEPS", 1)
         monkeypatch.setattr(graph_core, "_DENSE_MAX_N", 0)
         with pytest.raises(NumericalError, match="no estimate of lambda2 within 1 steps"):
             algebraic_connectivity(self.C4096)
