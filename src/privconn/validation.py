@@ -5,8 +5,8 @@ Four audits:
 
   * audit_sensitivity exhausts every graph on up to 5 nodes and verifies
     that editing at most A edges never moves lambda2 by more than 2A.
-  * audit_dp samples the release mechanism on adjacent graph pairs,
-    counts both output laws on a histogram, and searches for an event whose
+  * audit_dp draws histograms of the release mechanism's output on
+    adjacent graph pairs, one per graph, and searches for an event whose
     probabilities break the (epsilon, delta) inequality by more than
     sampling noise explains. Run with scale_factor < 1 it doubles as a
     negative control: a deliberately under-scaled mechanism must fail.
@@ -17,29 +17,17 @@ Four audits:
     the planning operations (draw, its inverse square root, the rate
     error at t = 1).
 
-The sampled audits draw in blocks of 2^15 from a seeded stream and keep
-only what they sum: histogram counts, exceedance counts, and a running
-mean and sum of squared deviations per quantity, merged block by block
-as in Chan, Golub & LeVeque ("Algorithms for computing the sample
-variance", 1983). Their memory is O(block) whatever the number of
-trials. Generator.random fills consecutive blocks from the stream a
-one-shot call would read, so the draws are a one-shot draw's, cut into
-pieces, unless rng.random returns exactly 0.0 (probability 2^-53 per
-draw): such zeros are redrawn at the end of their block, so the stream
-shifts from there on. A count does not depend on the order of the draws,
-so audit_dp and audit_concentration take each block sorted
-(BoundedLaplaceDist._sorted_sample): the uniforms are sorted before the
-quantile, which then takes one logarithm per draw, and a histogram is
-one searchsorted of the bin edges. A sorted block is np.sort of the
-block that sample would draw, so every count equals the sampler's.
-audit_expectations sums its moments in draw order and keeps sample.
-audit_concentration and audit_expectations read one stream each.
-audit_dp gives every graph of every pair its own stream, seeded in a
-fixed order, and runs the streams on a pool of threads, one per usable
-CPU, each worker with one block in flight; numpy releases the
-interpreter lock while it draws, sorts, transforms and counts. The
-counts are exact integers summed per stream, so its report does not
-depend on the CPU count.
+audit_dp and audit_concentration only count, and a count of i.i.d.
+draws has an exact law: a histogram of N draws is Multinomial(N, bin
+masses) and an exceedance count is Binomial(N, p), each mass or p a
+difference of the closed-form cdf. So they draw each count from that law,
+one call per graph or grid point, from a seeded generator in a fixed
+order, and never run the sampler. audit_expectations checks means, which
+are not counts, so it runs the shipped sampler end to end: it draws in
+blocks of 2^15 and keeps a running mean and sum of squared deviations per
+quantity, merged block by block as in Chan, Golub & LeVeque ("Algorithms
+for computing the sample variance", 1983), so its memory is O(block)
+whatever the number of trials.
 
 The attack side shows why the noise is needed: exact_value_attack lists
 every graph consistent with partial edge knowledge and a published
@@ -69,8 +57,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,15 +89,17 @@ __all__ = [
 # is kept one node smaller than the plain enumerations.
 _MAX_SENSITIVITY_N = 5
 _MAX_ENUMERATION_N = 6
-# Draws per block of the sampled audits, and the log2 of the completions
+# Draws per block of the expectation audit, and the log2 of the completions
 # per block of the attacks' inertia tests. Each bounds what a block
-# allocates, and each was as fast as one shot or faster in process. The
-# DP audit holds one draw block per worker thread.
+# allocates, and each was as fast as one shot or faster in process.
 _DRAW_BLOCK = 1 << 15
 _MASK_BLOCK_BITS = 12
 # The DP audit's histogram bins over [0, n]; the bin edges are allocated
 # before any draw.
 _MAX_BINS = 10_000
+# The counted audits' trials per graph or grid point: every count up to
+# 2^53 is an exact double, and numpy's multinomial and binomial take int64.
+_MAX_TRIALS = 2**53
 
 
 @dataclass(frozen=True)
@@ -139,19 +127,10 @@ def _edge_slots(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-def _draws(draw, rng: np.random.Generator, count: int):
-    """count draws by draw(rng, size), in blocks of at most _DRAW_BLOCK."""
+def _draws(dist: BoundedLaplaceDist, rng: np.random.Generator, count: int):
+    """count draws of dist, in blocks of at most _DRAW_BLOCK."""
     for start in range(0, count, _DRAW_BLOCK):
-        yield draw(rng, min(_DRAW_BLOCK, count - start))
-
-
-def _sorted_counts(draws: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """np.histogram(draws, bins=edges)[0] for sorted draws, by numpy's rule:
-    bin i holds [edges[i], edges[i + 1]), and the last bin its right edge
-    too."""
-    ends = np.searchsorted(draws, edges, side="left")
-    ends[-1] = np.searchsorted(draws, edges[-1], side="right")
-    return np.diff(ends)
+        yield dist.sample(rng, min(_DRAW_BLOCK, count - start))
 
 
 def audit_sensitivity(n: int, A: int = 1, slack: float = 1e-9) -> AuditReport:
@@ -241,36 +220,18 @@ def _adjacent_pairs(n: int, A: int, pairs: int, rng: np.random.Generator):
         yield edges, edges2
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool, fn, jobs, window: int):
-    """fn(*job) for each job, in job order, run on pool with at most window
-    jobs submitted and not yet collected."""
-    pending = deque()
-    for job in jobs:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, *job))
-    while pending:
-        yield pending.popleft().result()
-
-
-def _distinguish(p_hat: np.ndarray, q_hat: np.ndarray, eps: float, delta: float, trials: int) -> float:
+def _distinguish(p_counts: np.ndarray, q_counts: np.ndarray, eps: float, delta: float, trials: int) -> float:
     """Violation score for the best histogram event separating p from q.
 
     Greedy optimal event: the bins where p already beats e^eps q. The
     score subtracts delta and three standard errors, so positive means
     the privacy inequality fails beyond what sampling noise explains.
+    The event's probabilities are its summed counts over trials, exact
+    integers divided once, so neither exceeds 1 by rounding.
     """
-    sel = p_hat > math.exp(eps) * q_hat
-    P = float(p_hat[sel].sum())
-    Q = float(q_hat[sel].sum())
+    sel = p_counts > math.exp(eps) * q_counts
+    P = int(p_counts[sel].sum()) / trials
+    Q = int(q_counts[sel].sum()) / trials
     sigma = math.sqrt(
         P * (1.0 - P) / trials + math.exp(2.0 * eps) * Q * (1.0 - Q) / trials
     )
@@ -286,8 +247,8 @@ def audit_dp(
     seed: int = 0,
     scale_factor: float = 1.0,
 ) -> AuditReport:
-    """Sample the mechanism on adjacent graph pairs and hunt for a
-    distinguishing event.
+    """Draw the mechanism's histograms on adjacent graph pairs and hunt
+    for a distinguishing event.
 
     For each pair the release law is estimated with samples_per_graph
     draws per graph on a `bins`-bin histogram over [0, n] (at most
@@ -296,59 +257,42 @@ def audit_dp(
     mechanism as shipped, values below 1 build the negative control the
     audit is expected to catch.
 
-    The pairs' centres and their generators' seeds are taken on the
-    calling thread, in a fixed order. Each graph's stream then runs on a
-    pool of worker threads, one per usable CPU, which sums its histogram
-    counts over sorted blocks of draws: np.histogram of the shipped
-    sampler's blocks, count for count (see the module docstring). At most
-    two streams per worker are submitted and not yet collected, so memory
-    grows neither with samples_per_graph nor with pairs. The report does not
-    depend on the CPU count.
+    Each graph's bin counts are one Multinomial(samples_per_graph, bin
+    masses) draw, the exact law of a histogram of that many draws, with
+    each mass a difference of the cdf at the bin edges. One generator,
+    seeded by seed, draws everything in a fixed order: each random pair,
+    then its two graphs' counts.
 
     Raises:
         ValueError: on an argument _check_dp_audit refuses.
     """
     _check_dp_audit(n, samples_per_graph, pairs, bins, scale_factor)
-    # imported here: it would add about 3 ms to every command's import
-    from concurrent.futures import ThreadPoolExecutor
-
     b = solve_scale_b(params, float(n)) * scale_factor
-    root = np.random.SeedSequence(seed)
-    pair_rng = np.random.default_rng(root.spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     bin_edges = np.linspace(0.0, float(n), bins + 1)
 
-    def jobs():
-        # on the calling thread, so the centres and seeds come in one order
-        for pair in _adjacent_pairs(n, params.A, pairs, pair_rng):
-            centres = [_lambda2_of_edges(n, graph_edges) for graph_edges in pair]
-            yield from zip(centres, root.spawn(2))
-
-    def stream(center, seed_seq):
+    def counts(center: float) -> np.ndarray:
         dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=float(n))
-        rng = np.random.default_rng(seed_seq)
-        counts = sum(
-            _sorted_counts(draws, bin_edges)
-            for draws in _draws(dist._sorted_sample, rng, samples_per_graph)
-        )
-        return center, counts / samples_per_graph
+        # multinomial refuses a mass below 0; the cdf is nondecreasing only
+        # as far as numpy's exp and expm1 round monotonically
+        masses = np.clip(np.diff(dist.cdf(bin_edges)), 0.0, None)
+        return rng.multinomial(samples_per_graph, masses)
 
     per_pair = []
     worst = -math.inf
-    # two streams for each of the three fixed pairs and the random ones
-    workers = min(_usable_cpus(), 2 * (pairs + 3))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        streams = _in_order(pool, stream, jobs(), 2 * workers)
-        for (c_g, p_hat), (c_h, q_hat) in zip(streams, streams):
-            fwd = _distinguish(p_hat, q_hat, params.epsilon, params.delta, samples_per_graph)
-            rev = _distinguish(q_hat, p_hat, params.epsilon, params.delta, samples_per_graph)
-            worst = max(worst, fwd, rev)
-            per_pair.append(
-                {
-                    "lambda2_pair": [c_g, c_h],
-                    "violation_forward": fwd,
-                    "violation_reverse": rev,
-                }
-            )
+    for pair in _adjacent_pairs(n, params.A, pairs, rng):
+        c_g, c_h = (_lambda2_of_edges(n, graph_edges) for graph_edges in pair)
+        p_counts, q_counts = counts(c_g), counts(c_h)
+        fwd = _distinguish(p_counts, q_counts, params.epsilon, params.delta, samples_per_graph)
+        rev = _distinguish(q_counts, p_counts, params.epsilon, params.delta, samples_per_graph)
+        worst = max(worst, fwd, rev)
+        per_pair.append(
+            {
+                "lambda2_pair": [c_g, c_h],
+                "violation_forward": fwd,
+                "violation_reverse": rev,
+            }
+        )
     return AuditReport(
         audit_name="dp_distinguisher",
         trials=samples_per_graph,
@@ -374,6 +318,8 @@ def _check_dp_audit(n: int, samples_per_graph: int, pairs: int, bins: int, scale
         raise ValueError(f"audit supports 2 <= n <= {_MAX_ENUMERATION_N}")
     if samples_per_graph < 100_000:
         raise ValueError("need at least 1e5 samples per graph to resolve the histograms")
+    if samples_per_graph > _MAX_TRIALS:
+        raise ValueError(f"samples per graph must be at most 2**53, got {samples_per_graph}")
     if pairs < 0:
         raise ValueError(f"extra random pair count must be >= 0, got {pairs}")
     if not 2 <= bins <= _MAX_BINS:
@@ -398,6 +344,8 @@ def _concentration_bounds(lambda2: float, b: float, n: float, t_grid, a: float, 
     and the bound at each time as a list."""
     if trials < 10_000:
         raise ValueError("need at least 1e4 draws per grid point")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"draws per grid point must be at most 2**53, got {trials}")
     t_arr = np.asarray(t_grid, dtype=float)
     if t_arr.ndim != 1 or t_arr.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence of times")
@@ -425,24 +373,29 @@ def audit_concentration(
     P(|exp(-X t) - exp(-lambda2 t)| >= a) over fresh draws of X is
     compared with the Markov bound; the violation subtracts three
     binomial standard errors, so positive means the certificate is wrong,
-    not unlucky. The exceedances are counted over sorted blocks of
-    draws, the same counts as over the sampler's unsorted blocks (see
-    the module docstring). details carries the full curve, including the
-    certified success floor 1 - bound (negative where the bound is
-    vacuous; reported as computed).
+    not unlucky. Each time's exceedance count is one Binomial(trials, p)
+    draw, the exact law of that count over trials draws, with p from the
+    cdf; the times are drawn in grid order from one seeded generator.
+    details carries the full curve, including the certified success floor
+    1 - bound (negative where the bound is vacuous; reported as computed).
     """
     t_arr, bounds = _concentration_bounds(lambda2, b, n, t_grid, a, trials)
     dist = BoundedLaplaceDist(center=lambda2, scale_b=b, domain_upper_n=float(n))
+    # exp(-X t) falls as X grows, so with f = exp(-lambda2 t) the event is
+    # X <= -ln(f + a)/t (empty once f + a >= 1) or X >= -ln(f - a)/t (empty
+    # while f <= a); a tiny t sends an end to -inf or inf, where cdf is 0 or 1
+    flat = np.exp(-lambda2 * t_arr)
+    upper = flat > a
+    with np.errstate(over="ignore"):
+        p = dist.cdf(-np.log(flat + a) / t_arr)
+        p[upper] += 1.0 - dist.cdf(-np.log(flat[upper] - a) / t_arr[upper])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    # cdf(n) can round to 1 + 2^-52, so p can come out just below 0
+    exceed = rng.binomial(trials, np.clip(p, 0.0, 1.0)).tolist()
     rows = []
     worst = -math.inf
-    for t, bound in zip(t_arr, bounds):
-        flat = math.exp(-lambda2 * t)
-        exceed = sum(
-            int(np.count_nonzero(np.abs(np.exp(-draws * t) - flat) >= a))
-            for draws in _draws(dist._sorted_sample, rng, trials)
-        )
-        p_hat = exceed / trials
+    for t, bound, count in zip(t_arr, bounds, exceed):
+        p_hat = count / trials
         sigma = math.sqrt(p_hat * (1.0 - p_hat) / trials)
         violation = p_hat - bound - 3.0 * sigma
         worst = max(worst, violation)
@@ -481,7 +434,9 @@ def audit_expectations(
 
     One stream of draws feeds three comparisons: the mean draw, the mean
     inverse square root, and the mean absolute rate error at t = 1, each
-    against its closed form with a three-standard-error allowance. Each
+    against its closed form with a three-standard-error allowance. A mean
+    has no count law to draw from, so the draws come from the shipped
+    sampler, which makes this the audit that runs it end to end. Each
     quantity keeps a running mean and sum of squared deviations, merged
     block by block by Chan's update, so memory does not grow with trials;
     the mean and standard error agree with numpy's one-shot mean and
@@ -493,7 +448,7 @@ def audit_expectations(
     t_probe = 1.0
     flat = math.exp(-lambda2 * t_probe)
     count, mean, m2 = 0, np.zeros(3), np.zeros(3)
-    for draws in _draws(dist.sample, rng, trials):
+    for draws in _draws(dist, rng, trials):
         samples = np.stack([draws, 1.0 / np.sqrt(draws), np.abs(np.exp(-draws * t_probe) - flat)])
         size = samples.shape[1]
         block_mean = samples.mean(axis=1)

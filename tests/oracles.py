@@ -308,9 +308,59 @@ def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> fl
         )
 
 
-def one_shot_counts(dist, rng, count: int, edges) -> np.ndarray:
-    """Histogram counts of count draws taken in a single sample call."""
-    return np.histogram(dist.sample(rng, size=count), bins=edges)[0]
+def mp_mass(center: float, b: float, n: float, lo: float, hi: float, dps: int = 40) -> float:
+    """P(lo <= X <= hi) under the bounded Laplace law, in high-precision
+    arithmetic: the untruncated Laplace distribution function in plain exp,
+    renormalized over [0, n], instead of the library's expm1 branches."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        c, bb, nn = mp.mpf(center), mp.mpf(b), mp.mpf(n)
+
+        def laplace_cdf(x):  # untruncated Laplace(c, b), clamped to [0, n]
+            x = min(max(mp.mpf(x), 0), nn)
+            return mp.exp((x - c) / bb) / 2 if x < c else 1 - mp.exp(-(x - c) / bb) / 2
+
+        return float((laplace_cdf(hi) - laplace_cdf(lo)) / (laplace_cdf(nn) - laplace_cdf(0)))
+
+
+def mp_exceedance(t: float, a: float, lambda2: float, b: float, n: float, dps: int = 40) -> float:
+    """P(|exp(-X t) - exp(-lambda2 t)| >= a) under the bounded Laplace law.
+
+    exp(-x t) decreases in x, so the event is a prefix {exp(-x t) - r >= a}
+    and a suffix {r - exp(-x t) >= a} of [0, n], with r = exp(-lambda2 t).
+    Each end is found by bisection on its inequality itself, with no
+    logarithm inverted, and each piece's mass comes from mp_mass.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        tt, aa, nn = mp.mpf(t), mp.mpf(a), mp.mpf(n)
+        r = mp.exp(-mp.mpf(lambda2) * tt)
+
+        def prefix(x):
+            return mp.exp(-x * tt) - r >= aa
+
+        def suffix(x):
+            return r - mp.exp(-x * tt) >= aa
+
+        def end(holds):
+            # holds changes its value once in [0, n]: find where
+            lo, hi = mp.mpf(0), nn
+            for _ in range(mp.mp.prec + 8):
+                mid = (lo + hi) / 2
+                if holds(mid) == holds(lo):
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+
+        total = 0.0
+        if prefix(0):
+            total += 1.0 if prefix(nn) else mp_mass(lambda2, b, n, 0, end(prefix), dps)
+        if suffix(nn):
+            total += 1.0 if suffix(0) else mp_mass(lambda2, b, n, end(suffix), nn, dps)
+        return total
 
 
 def one_shot_mean_and_error(samples: np.ndarray) -> tuple[float, float]:

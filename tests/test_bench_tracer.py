@@ -79,8 +79,8 @@ def test_traced_commands_record_every_consensus_and_bounds_span(capsys):
         "property_bounds.expected_bounds",
         "validation.audit_dp",
         "validation.audit_concentration",
-        # the expectations audit's draws; the DP audit's sorted draws have
-        # no span of their own
+        # the expectations audit's draws; the DP and concentration audits
+        # draw their counts from the exact law and never call the sampler
         "privacy_mechanism.sample",
     }
     assert sorted(want - recorded) == []

@@ -193,8 +193,8 @@ class TestPrivatize:
         assert proc.returncode == 0, proc.stderr
 
     def test_release_path_does_not_load_the_thread_pool(self, tmp_path, fresh_python):
-        # only validate's DP audit uses concurrent.futures; importing it with
-        # the package would add about 3 ms to every command
+        # importing concurrent.futures with the package would add about 3 ms
+        # to every command (validate's own check is in TestValidate)
         path1024 = tmp_path / "p.txt"
         path1024.write_text("n=1024\n" + "".join(f"{i} {i + 1}\n" for i in range(1023)))
         script = (
@@ -458,8 +458,12 @@ class TestValidate:
             ("--lambda2", "-1", "lambda2 = -1.0 outside the support [0, 5.0]"),
             ("--conc-trials", "10", "need at least 1e4 draws per grid point"),
             ("--exp-trials", "10", "need at least 1e6 draws to resolve the means"),
+            (
+                "--conc-trials", "9007199254740993",
+                "draws per grid point must be at most 2**53, got 9007199254740993",
+            ),
         ],
-        ids=["a", "lambda2", "conc-trials", "exp-trials"],
+        ids=["a", "lambda2", "conc-trials", "exp-trials", "conc-trials-cap"],
     )
     def test_bad_tail_argument_exits_2_before_any_audit(self, capsys, monkeypatch, flag, value, message):
         # the concentration and expectation audits run last; their
@@ -480,12 +484,16 @@ class TestValidate:
             (["--n", "5", "--bins", "1"], "histogram bins must lie in [2, 10000], got 1"),
             (["--n", "5", "--pairs", "-1"], "extra random pair count must be >= 0, got -1"),
             (["--n", "5", "--samples-per-graph", "10"], "need at least 1e5 samples per graph to resolve the histograms"),
+            (
+                ["--n", "5", "--samples-per-graph", "9007199254740993"],
+                "samples per graph must be at most 2**53, got 9007199254740993",
+            ),
             (["--n", "5", "--scale-factor", "0"], "scale factor must be positive and finite, got 0.0"),
             (["--n", "5", "--scale-factor", "nan"], "scale factor must be positive and finite, got nan"),
             (["--n", "1"], "audit supports 2 <= n <= 6"),
             (["--n", "7"], "audit supports 2 <= n <= 6"),
         ],
-        ids=["huge-bins", "one-bin", "pairs", "samples", "scale-0", "scale-nan", "n-1", "n-7"],
+        ids=["huge-bins", "one-bin", "pairs", "samples", "samples-cap", "scale-0", "scale-nan", "n-1", "n-7"],
     )
     def test_bad_dp_argument_exits_2_before_any_audit(self, capsys, monkeypatch, argv, message):
         # a billion bins would need 8 GB of bin edges; every DP-audit
@@ -498,6 +506,30 @@ class TestValidate:
         code = main(["validate"] + argv)
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_counted_audits_run_on_the_calling_thread_alone(self, fresh_python):
+        # the DP and concentration audits draw their counts from the exact
+        # law, so neither starts a thread or loads concurrent.futures; the
+        # expectation audit then loads scipy.special, whose own imports load
+        # concurrent.futures, so the state is taken before it runs
+        script = (
+            "import sys, threading, privconn.cli as cli, privconn.validation as v\n"
+            "seen = []\n"
+            "def spy(real):\n"
+            "    def call(*args, **kwargs):\n"
+            "        seen.append((threading.active_count(), 'concurrent.futures' in sys.modules))\n"
+            "        return real(*args, **kwargs)\n"
+            "    return call\n"
+            "v._distinguish = spy(v._distinguish)\n"
+            "cli.audit_expectations = spy(cli.audit_expectations)\n"
+            "code = cli.main(['validate', '--n', '4'])\n"
+            "assert code in (0, 5), code\n"
+            "# two scores for each of the 3 + 20 pairs, then the expectation audit\n"
+            "assert len(seen) == 2 * 23 + 1 and set(seen) == {(1, False)}, seen\n"
+            "assert threading.active_count() == 1\n"
+        )
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_weakened_mechanism_exits_5(self, capsys):
         code, rep = run_json(

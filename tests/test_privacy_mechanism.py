@@ -274,6 +274,18 @@ class TestBoundedLaplace:
         assert dist.cdf(-5.0) == 0.0
         assert dist.cdf(25.0) == 1.0
 
+    @pytest.mark.parametrize("b", [1e-4, 0.01])
+    @pytest.mark.parametrize("center", [0.0, 1.3, 4.0])
+    def test_a_steep_cdf_stays_exact(self, center, b):
+        # x / b reaches 4e4 at b = 1e-4, far past exp's range: the cdf must
+        # neither overflow nor warn (a warning fails the suite)
+        dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=4.0)
+        xs = np.linspace(0.0, 4.0, 801)
+        cdf = dist.cdf(xs)
+        want = [oc.mp_mass(center, b, 4.0, 0.0, x) for x in xs.tolist()]
+        assert np.abs(cdf - want).max() <= 1e-12
+        assert (np.diff(cdf) >= 0.0).all()
+
     def test_quantile_round_trips(self):
         dist = self.DIST
         xs = np.linspace(1e-6, 10.0 - 1e-6, 2001)
@@ -322,44 +334,6 @@ class TestBoundedLaplace:
         k = np.arange(1, draws.size + 1) / draws.size
         ks = float(np.abs(grid - k).max())
         assert ks < 0.002
-
-
-class TestSortedSample:
-    """_sorted_sample is np.sort(sample(...)) element for element, from
-    equally seeded generators."""
-
-    N = 10.0
-
-    @pytest.mark.parametrize("center", [0.0, 3.0, N])
-    @pytest.mark.parametrize("b", [0.01, solve_scale_b(P_DEFAULT, N), 1e3])
-    # the short size is the last block of 100,003 draws in blocks of 2^15
-    @pytest.mark.parametrize("size", [1, 2, 100_003 % (1 << 15), 1 << 15])
-    def test_equals_the_sorted_sample(self, center, b, size):
-        dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=self.N)
-        got = dist._sorted_sample(np.random.default_rng(31), size)
-        assert np.array_equal(got, np.sort(dist.sample(np.random.default_rng(31), size)))
-
-    def test_exact_zero_draws_are_redrawn_before_the_sort(self):
-        dist = TestBoundedLaplace.DIST
-        rest = np.random.default_rng(8).random(6)
-        got = dist._sorted_sample(_ZerosFirst(7, rest), 6)
-        assert np.array_equal(got, np.sort(dist.sample(_ZerosFirst(7, rest), 6)))
-        assert got.min() > 0.0
-
-    def test_an_unsorted_branch_is_sorted(self, monkeypatch):
-        upper = BoundedLaplaceDist._upper_quantile
-
-        def reflected(self, u, out):
-            # the upper branch reflected inside [center, n]: one value per u,
-            # as sample reads it too, but decreasing in u
-            x = upper(self, u, out)
-            return np.subtract(self.center + self.domain_upper_n, x, out=x)
-
-        monkeypatch.setattr(BoundedLaplaceDist, "_upper_quantile", reflected)
-        dist = TestBoundedLaplace.DIST
-        got = dist._sorted_sample(np.random.default_rng(5), 1 << 15)
-        want = np.sort(dist.sample(np.random.default_rng(5), 1 << 15))
-        assert np.array_equal(got, want)
 
 
 class _ZerosFirst:

@@ -1,7 +1,6 @@
 import functools
 import json
 import math
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -127,53 +126,30 @@ class TestDpAudit:
         with pytest.raises(ValueError):
             audit_dp(7, P, pairs=0, samples_per_graph=100_000)
 
+    def test_samples_per_graph_are_capped_at_2_to_the_53(self):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53, got 9007199254740993"):
+            audit_dp(4, P, pairs=0, samples_per_graph=2**53 + 1)
 
-class TestDpAuditPool:
-    """audit_dp runs each graph's stream on a worker thread."""
+    @pytest.mark.parametrize("bins", [2, 50, validation._MAX_BINS])
+    def test_a_steep_law_is_counted(self, bins):
+        # b = 0.01 puts each law within a few hundredths of its centre: n
+        # (complete), n - 2 (complete minus an edge, a bin edge at each of
+        # these bin counts) and 0 (the empty and the one-edge graph). With
+        # 10,000 bins an event's frequencies, summed as floats, would come
+        # to 1 + 2^-52 on this seed
+        n = 4
+        scale_factor = 0.01 / solve_scale_b(P, float(n))
+        r = audit_dp(n, P, pairs=2, samples_per_graph=100_000, bins=bins, seed=1, scale_factor=scale_factor)
+        centres = [c for row in r.details["pairs"][:3] for c in row["lambda2_pair"]]
+        assert centres == pytest.approx([4.0, 4.0, 4.0, 2.0, 0.0, 0.0], abs=1e-9)
+        assert r.details["b"] == pytest.approx(0.01, rel=1e-12)
+        assert math.isfinite(r.worst_violation) and not r.passed
 
-    KWARGS = dict(pairs=3, samples_per_graph=100_003, seed=11)
-
-    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch):
-        reports = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(validation, "_usable_cpus", lambda: cpus)
-            reports.append(audit_dp(5, P, **self.KWARGS).as_dict())
-        assert json.dumps(reports[0]) == json.dumps(reports[1])
-
-    def test_usable_cpus_falls_back_to_the_machine_count(self, monkeypatch):
-        assert validation._usable_cpus() >= 1
-        monkeypatch.delattr(validation.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(validation.os, "cpu_count", lambda: None)
-        assert validation._usable_cpus() == 1
-
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(validation, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-        audit_dp(4, P, **self.KWARGS)
-        assert threading.active_count() == before
-
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(validation, "_usable_cpus", lambda: 3)
-        calls = 0
-        sorted_sample = BoundedLaplaceDist._sorted_sample
-        error = RuntimeError("fifth draw block")
-        lock = threading.Lock()
-
-        def failing(self, rng, size):
-            nonlocal calls
-            with lock:
-                calls += 1
-                fifth = calls == 5
-            if fifth:
-                raise error
-            return sorted_sample(self, rng, size)
-
-        monkeypatch.setattr(BoundedLaplaceDist, "_sorted_sample", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as caught:
-            audit_dp(4, P, **self.KWARGS)
-        assert caught.value is error
-        assert threading.active_count() == before
+    def test_a_law_past_exps_range_is_counted(self):
+        # n / b = 4e4: exp(n / b) overflows, which the cdf must not compute
+        scale_factor = 1e-4 / solve_scale_b(P, 4.0)
+        r = audit_dp(4, P, pairs=0, samples_per_graph=100_000, bins=50, scale_factor=scale_factor)
+        assert math.isfinite(r.worst_violation) and not r.passed
 
 
 class TestConcentrationAudit:
@@ -215,6 +191,28 @@ class TestConcentrationAudit:
         base.update(kwargs)
         with pytest.raises(ValueError):
             audit_concentration(**base)
+
+    def test_a_tail_rounded_below_0_is_counted_as_0(self):
+        # here -ln(f - a)/t rounds to exactly n, where this law's cdf is
+        # 1 + 2^-52, and f + a > 1: the exceedance probability comes out
+        # as -2^-52, which numpy's binomial refuses
+        lam, b, n = 1.28, 1.0, 4.0
+        t, a = 0.008489244622311156, 0.02257950223731353
+        flat = np.exp(-lam * np.array([t]))
+        assert flat[0] + a > 1.0 and -np.log(flat - a)[0] / t == n
+        assert BoundedLaplaceDist(lam, b, n).cdf(n) > 1.0
+        r = audit_concentration(lam, b, n, [t], a, trials=10_000)
+        assert r.details["grid"][0]["empirical"] == 0.0
+
+    def test_a_tiny_time_is_counted(self):
+        # -ln(f +- a)/t overflows to -inf and inf, where the cdf is 0 and 1
+        r = audit_concentration(1.0, 7.39, 10.0, [1e-310, 1.0], 0.2, trials=10_000)
+        assert r.details["grid"][0]["empirical"] == 0.0
+        assert r.details["grid"][1]["empirical"] > 0.0
+
+    def test_trials_are_capped_at_2_to_the_53(self):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53, got 9007199254740993"):
+            audit_concentration(1.0, 7.39, 10.0, self.GRID, 0.2, trials=2**53 + 1)
 
 
 class TestExpectationsAudit:
@@ -461,49 +459,8 @@ def test_attacks_reject_non_finite_values_and_bad_scales(call):
 
 
 class TestBlocksMatchOneShot:
-    """The block loops against one-shot references: summed counts exactly,
-    running moments to rounding, and the attacks' picks exactly."""
-
-    # several blocks of draws, the last one short
-    N = 100_003
-
-    def test_dp_histograms_equal_one_shot(self, monkeypatch):
-        assert self.N > validation._DRAW_BLOCK and self.N % validation._DRAW_BLOCK
-        n, bins, seed = 4, 50, 7
-        seen = []
-        distinguish = validation._distinguish
-
-        def spy(p_hat, q_hat, *args):
-            seen.append((p_hat, q_hat))
-            return distinguish(p_hat, q_hat, *args)
-
-        monkeypatch.setattr(validation, "_distinguish", spy)
-        audit_dp(n, P, pairs=2, samples_per_graph=self.N, bins=bins, seed=seed)
-        b = solve_scale_b(P, float(n))
-        root = np.random.SeedSequence(seed)
-        pair_rng = np.random.default_rng(root.spawn(1)[0])
-        edges = np.linspace(0.0, float(n), bins + 1)
-        want = []
-        for pair in validation._adjacent_pairs(n, P.A, 2, pair_rng):
-            rngs = [np.random.default_rng(s) for s in root.spawn(2)]
-            dists = [BoundedLaplaceDist(validation._lambda2_of_edges(n, e), b, float(n)) for e in pair]
-            p, q = (oc.one_shot_counts(d, rng, self.N, edges) / self.N for d, rng in zip(dists, rngs))
-            want += [(p, q), (q, p)]
-        assert len(seen) == len(want) == 10
-        for (p, q), (p_want, q_want) in zip(seen, want):
-            assert np.array_equal(p, p_want) and np.array_equal(q, q_want)
-
-    def test_concentration_frequencies_equal_one_shot(self):
-        lam, b, n, a, seed = 1.0, 7.39, 10.0, 0.2, 5
-        grid = [1.0, 7.5, 40.0]
-        r = audit_concentration(lam, b, n, grid, a, trials=self.N, seed=seed)
-        dist = BoundedLaplaceDist(lam, b, n)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        want = []
-        for t in grid:
-            draws = dist.sample(rng, size=self.N)
-            want.append(float((np.abs(np.exp(-draws * t) - math.exp(-lam * t)) >= a).mean()))
-        assert [row["empirical"] for row in r.details["grid"]] == want
+    """The block loops against one-shot references: running moments to
+    rounding, and the attacks' picks exactly."""
 
     def test_expectations_match_one_shot_moments(self):
         lam, b, n, seed, trials = 1.0, 7.39, 10.0, 4, 1_000_003
@@ -572,6 +529,45 @@ class TestBlocksMatchOneShot:
             assert json.dumps(got.as_dict()) == json.dumps(want.as_dict()), case
 
 
+class TestCountLaws:
+    """The counted audits against the mpmath masses of their events: at
+    2^53 trials a frequency's standard error is below 1e-8, so 1e-6 leaves
+    room only for rounding, not for a wrong mass."""
+
+    TRIALS = 2**53
+
+    def test_dp_frequencies_are_the_bin_masses(self, monkeypatch):
+        n, bins = 4, 50
+        seen = []
+        distinguish = validation._distinguish
+
+        def spy(p_counts, q_counts, *args):
+            seen.append((p_counts / self.TRIALS, q_counts / self.TRIALS))
+            return distinguish(p_counts, q_counts, *args)
+
+        monkeypatch.setattr(validation, "_distinguish", spy)
+        r = audit_dp(n, P, pairs=2, samples_per_graph=self.TRIALS, bins=bins, seed=3)
+        edges = [n * i / bins for i in range(bins + 1)]
+        rows = r.details["pairs"]
+        # each pair is scored forward, then reverse
+        assert len(seen) == 2 * len(rows) == 10
+        for (p_hat, q_hat), row in zip(seen[::2], rows):
+            for freqs, centre in zip((p_hat, q_hat), row["lambda2_pair"]):
+                want = [oc.mp_mass(centre, r.details["b"], n, lo, hi) for lo, hi in zip(edges, edges[1:])]
+                assert np.abs(freqs - want).max() <= 1e-6, centre
+
+    def test_concentration_frequencies_are_the_exceedance_masses(self):
+        lam, b, n, a = 1.0, 7.39, 10.0, 0.2
+        grid = [0.05, 0.2, 0.5, 1.0, 1.6, 2.0, 7.5, 40.0]
+        flats = [math.exp(-lam * t) for t in grid]
+        # both one-sided events occur: no X is low enough once f + a >= 1,
+        # none high enough while f <= a
+        assert any(f + a >= 1.0 for f in flats) and any(f <= a for f in flats)
+        r = audit_concentration(lam, b, n, grid, a, trials=self.TRIALS, seed=5)
+        for row in r.details["grid"]:
+            assert abs(row["empirical"] - oc.mp_exceedance(row["t"], a, lam, b, n)) <= 1e-6, row["t"]
+
+
 class TestMemoryIsBounded:
     """Traced peaks do not grow with the draws or the completions: the audits
     and the attacks hold one block at a time."""
@@ -596,11 +592,7 @@ class TestMemoryIsBounded:
         large = self._peak(lambda: run(4_000_000))
         assert large <= small + 8 * validation._DRAW_BLOCK
 
-    def test_dp_audit_peak_grows_only_by_the_extra_report_rows(self, monkeypatch):
-        # one worker, so the peak does not depend on how the workers'
-        # blocks overlap in time; the submission window is the same code
-        monkeypatch.setattr(validation, "_usable_cpus", lambda: 1)
-
+    def test_dp_audit_peak_grows_only_by_the_extra_report_rows(self):
         def held_and_peak(pairs):
             # traced memory the report still holds, and the peak
             tracemalloc.start()
