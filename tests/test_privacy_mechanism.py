@@ -336,6 +336,40 @@ class TestBoundedLaplace:
         assert ks < 0.002
 
 
+class TestSampleFollowsTheCountedLaw:
+    """The DP and concentration audits count with the cdf, while a release
+    draws with `sample`: both must be one law. Each draw is the quantile
+    of the generator's next double, lies in a bin of audit_dp's default
+    50-bin histogram whose cdf mass is positive, and the draws stay inside
+    the Dvoretzky-Kiefer-Wolfowitz band of the cdf at level 1e-9."""
+
+    N = 10.0
+
+    @pytest.mark.parametrize("center", [0.0, 3.0, N])
+    @pytest.mark.parametrize("b", [0.01, solve_scale_b(P_DEFAULT, N), 1e3])
+    # the short size is the last block of 100,003 draws in blocks of 2^15
+    @pytest.mark.parametrize("size", [1, 2, 100_003 % (1 << 15), 1 << 15])
+    def test_draws_lie_where_the_audits_count_mass(self, center, b, size):
+        dist = BoundedLaplaceDist(center=center, scale_b=b, domain_upper_n=self.N)
+        got = dist.sample(np.random.default_rng(31), size)
+        # seed 31 draws no exact zero at these sizes, so nothing is redrawn
+        assert np.array_equal(got, dist.inverse_cdf(np.random.default_rng(31).random(size)))
+        assert got.min() >= 0.0 and got.max() <= self.N
+
+        edges = np.linspace(0.0, self.N, 51)
+        masses = np.diff(dist.cdf(edges))
+        assert (masses >= 0.0).all()
+        assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        hit = np.minimum(np.searchsorted(edges, got, side="right") - 1, masses.size - 1)
+        assert (masses[hit] > 0.0).all()
+
+        # DKW: P(sup |F_size - F| > eps) <= 2 exp(-2 size eps^2) = 1e-9
+        eps = math.sqrt(math.log(2e9) / (2 * size))
+        F = dist.cdf(np.sort(got))
+        k = np.arange(1, size + 1) / size
+        assert max(np.abs(k - F).max(), np.abs(F - (k - 1.0 / size)).max()) <= eps
+
+
 class _ZerosFirst:
     """Stands in for a Generator whose first doubles are exact zeros."""
 
