@@ -195,23 +195,94 @@ def exact_bounds(
     return _sandwich(S, 1.0 / lambda2, n, alpha, mode="exact", lambda2=lambda2, lambda_n=lambda_n)
 
 
+# The release's moments need P(2, z), erfcx and Dawson's integral. They
+# are written out with math alone because importing them from scipy would
+# cost every bounds and validate command about 0.2 s and 24 MB; scipy
+# stays for the sparse lambda2 route only. TestScaledSpecialFunctions
+# checks each branch against mpmath over z in [1e-12, 800] and x in
+# [1e-8, 1e4], the floats next to each switch included.
+_ERFCX_TERMS = 18
+_SQRT_PI = math.sqrt(math.pi)
+# Rybicki's sampling sum for Dawson's integral: a step of h = 1/4 leaves a
+# relative error of e^{-(pi/2h)^2} = 7e-18, and the weights of the first
+# pair left out are below 1e-21
+_DAWSON_H = 0.25
+_DAWSON_WEIGHTS = tuple(math.exp(-(((2 * i + 1) * _DAWSON_H) ** 2)) for i in range(14))
+
+
+def _gamma2(z: float) -> float:
+    """P(2, z) = 1 - (1 + z) e^{-z}, the regularized incomplete gamma
+    function of order 2, for z >= 0."""
+    if z >= 1.0:
+        return -math.expm1(math.log1p(z) - z) if z < math.inf else 1.0
+    # sum over k >= 2 of (k - 1) (-z)^k / k!, alternating and shrinking
+    term, total, k = 0.5 * z * z, 0.0, 2
+    while True:
+        part = (k - 1) * term
+        total += part
+        if abs(part) <= 1e-17 * total:
+            return total
+        k += 1
+        term *= -z / k
+
+
+def _erfcx(x: float) -> float:
+    """e^{x^2} erfc(x) for x >= 0."""
+    if x < 5.0:
+        return math.exp(x * x) * math.erfc(x)
+    # Laplace's continued fraction 1/(x + (1/2)/(x + (2/2)/(x + ...))),
+    # from the bottom up; 18 terms leave 2e-18 at x = 5 and less beyond
+    f = x
+    for k in range(_ERFCX_TERMS, 0, -1):
+        f = x + 0.5 * k / f
+    return 1.0 / (_SQRT_PI * f)
+
+
+def _dawson(x: float) -> float:
+    """Dawson's integral e^{-x^2} times the integral of e^{t^2} over
+    [0, x], for x >= 0."""
+    if x < 1.0:
+        # e^{-x^2} sum over k of x^(2k+1) / (k! (2k+1)), every term positive
+        x2 = x * x
+        term = total = x
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= x2 / k
+            total += term / (2 * k + 1)
+        return math.exp(-x2) * total
+    if x == math.inf:
+        return 0.0
+    # pi^{-1/2} sum over odd m of e^{-(x - m h)^2} / m, taken over the 14
+    # odd m on each side of the even n0 nearest x/h; |x - n0 h| <= h keeps
+    # every factor e^{2 (x - n0 h) h m} within e^{+-3.4}
+    n0 = 2 * round(0.5 * x / _DAWSON_H)
+    xp = x - n0 * _DAWSON_H
+    e1 = math.exp(2.0 * xp * _DAWSON_H)
+    e2 = e1 * e1
+    d1, d2, total = n0 + 1, n0 - 1, 0.0
+    for w in _DAWSON_WEIGHTS:
+        total += w * (e1 / d1 + 1.0 / (d2 * e1))
+        d1, d2, e1 = d1 + 2, d2 - 2, e1 * e2
+    return total * math.exp(-xp * xp) / _SQRT_PI
+
+
 def expected_lambda2(lambda2: float, b: float, n: float) -> float:
     """Mean of the private draw: pulled toward n/2 by the truncation.
 
     lambda2 + b (P(2, (n - lambda2)/b) - P(2, lambda2/b)) / (2 C), with
     P(2, z) = 1 - (1 + z) e^{-z} the regularized incomplete gamma
-    function. It keeps full precision at every b/n, where the expanded
-    form's terms of size b cancel to order n once b >> n (1% wrong at
-    b/n = 1e7). Equals lambda2 exactly when lambda2 = n/2; the bias
-    vanishes as b -> 0 and saturates to n/2 as b -> infinity.
+    function (_gamma2: a series below z = 1, -expm1(log1p(z) - z) above,
+    within 6.4e-16 of mpmath). It keeps full precision at every b/n, where
+    the expanded form's terms of size b cancel to order n once b >> n (1%
+    wrong at b/n = 1e7). Equals lambda2 exactly when lambda2 = n/2; the
+    bias vanishes as b -> 0 and saturates to n/2 as b -> infinity.
     """
-    from scipy.special import gammainc
-
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
-    above, below = gammainc(2.0, (n - lambda2) / b), gammainc(2.0, lambda2 / b)
-    return lambda2 + b * float(above - below) / (2.0 * C)
+    above, below = _gamma2((n - lambda2) / b), _gamma2(lambda2 / b)
+    return lambda2 + b * (above - below) / (2.0 * C)
 
 
 def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:
@@ -224,24 +295,21 @@ def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:
     overflows. For b >= n both arguments are at most 1 and that difference
     of two near-equal erfcx values cancels (1e-11 relative at b/n = 1e9),
     so it is taken as e^{lambda2/b} (erf(sqrt(n/b)) - erf(sqrt(lambda2/b)))
-    instead. Finite even though the draw can touch 0, because the density
-    is bounded there.
+    instead. _dawson sums its positive Taylor series below x = 1 and
+    Rybicki's sampling sum above (within 8.8e-16 of mpmath); _erfcx is
+    e^{x^2} erfc(x) below x = 5 and Laplace's continued fraction above
+    (within 2.1e-15). Finite even though the draw can touch 0, because the
+    density is bounded there.
     """
-    # the package imports scipy only inside these two moment functions,
-    # so the CLI's release path never loads it
-    from scipy.special import dawsn, erfcx
-
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
     a, c = math.sqrt(lambda2 / b), math.sqrt(n / b)
-    below = 2.0 * float(dawsn(a))
+    below = 2.0 * _dawson(a)
     if b >= n:
-        above = math.sqrt(math.pi) * math.exp(lambda2 / b) * (math.erf(c) - math.erf(a))
+        above = _SQRT_PI * math.exp(lambda2 / b) * (math.erf(c) - math.erf(a))
     else:
-        above = math.sqrt(math.pi) * (
-            float(erfcx(a)) - math.exp(-(n - lambda2) / b) * float(erfcx(c))
-        )
+        above = _SQRT_PI * (_erfcx(a) - math.exp(-(n - lambda2) / b) * _erfcx(c))
     return (below + above) / (2.0 * math.sqrt(b) * C)
 
 

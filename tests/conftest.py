@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,5 +18,25 @@ def fresh_python():
 
     def run(script):
         return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+    return run
+
+
+@pytest.fixture
+def cli_modules(fresh_python):
+    """Run CLI argv lists in order in one fresh interpreter, each required to
+    exit 0, and return the sorted names of the modules loaded afterwards."""
+
+    def run(argvs):
+        script = (
+            "import json, sys, privconn.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    code = privconn.cli.main(argv)\n"
+            "    assert code == 0, (argv, code)\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        proc = fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
 
     return run

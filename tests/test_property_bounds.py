@@ -13,38 +13,95 @@ from privconn import (
     min_degree_inference,
     spectrum,
 )
-from privconn.property_bounds import _mean_distance_upper, _rho_slope
+from privconn.property_bounds import (
+    _dawson,
+    _erfcx,
+    _gamma2,
+    _mean_distance_upper,
+    _rho_slope,
+)
 
 import oracles as oc
 
 ALPHAS = (1.5, 2.0, math.e, 4.0)
 
 
+def _around(*switches, steps=3):
+    """Each branch switch and the `steps` floats on either side of it."""
+    out = []
+    for x in switches:
+        below = above = x
+        for _ in range(steps):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            out += [below, above]
+        out.append(x)
+    return out
+
+
+# arguments of the three private functions, with every branch switch
+GAMMA2_ARGS = [*np.geomspace(1e-12, 800.0, 120), *_around(1.0)]
+ERFCX_ARGS = [*np.sqrt(np.geomspace(1e-8, 1e8, 80)), *_around(5.0)]
+DAWSON_ARGS = [*np.geomspace(1e-8, 1e4, 120), *_around(1.0, 6.0)]
+
+
+def _mp_dawson(x):
+    # D(x) = (sqrt(pi) / 2) e^{-x^2} erfi(x), at 40 digits: at mpmath's
+    # default 15 the product is already 1.3e-13 off at x = 48
+    with mp.workdps(40):
+        return float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(mp.mpf(x)))
+
+
 class TestScaledSpecialFunctions:
-    """The library special functions expected_inv_sqrt_lambda2 is built
-    from, called the way it calls them."""
+    """The private special functions the release's moments are built
+    from, called the way they call them. abs=0 keeps pytest.approx from
+    adding its default 1e-12 absolute slack to the relative tolerances."""
 
     def test_scaled_gamma_half_matches_mpmath(self):
         # e^x Gamma(1/2, x) = sqrt(pi) erfcx(sqrt(x)), past where e^x overflows
-        for x in np.geomspace(1e-8, 1e8, 80):
-            want = mp.exp(mp.mpf(x)) * mp.gammainc(mp.mpf("0.5"), mp.mpf(x))
-            got = math.sqrt(math.pi) * float(special.erfcx(math.sqrt(x)))
-            assert got == pytest.approx(float(want), rel=1e-13)
-        assert float(special.erfcx(0.0)) == 1.0
+        for a in ERFCX_ARGS:
+            with mp.workdps(40):
+                x = mp.mpf(a) ** 2
+                want = mp.exp(x) * mp.gammainc(mp.mpf("0.5"), x)
+            got = math.sqrt(math.pi) * _erfcx(a)
+            assert got == pytest.approx(float(want), rel=1e-13, abs=0.0), a
+        assert _erfcx(0.0) == 1.0
 
     def test_scaled_gamma_half_erfc_identity(self):
         # unscaled, the same product is sqrt(pi) erfc(sqrt(x)) while e^-x is normal
         for x in np.geomspace(1e-6, 200.0, 40):
             want = math.sqrt(math.pi) * float(special.erfc(math.sqrt(x)))
-            got = math.sqrt(math.pi) * float(special.erfcx(math.sqrt(x))) * math.exp(-x)
+            got = math.sqrt(math.pi) * _erfcx(math.sqrt(x)) * math.exp(-x)
             assert got == pytest.approx(want, rel=1e-12, abs=5e-300)
 
     def test_dawson_piece_matches_erfi(self):
         # the below-center mass: 2 D(x) = sqrt(pi) e^{-x^2} erfi(x)
-        for x in np.geomspace(1e-8, 25.0, 50):
-            want = math.sqrt(math.pi) * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(mp.mpf(x))
-            assert 2.0 * float(special.dawsn(x)) == pytest.approx(float(want), rel=1e-10)
-        assert float(special.dawsn(0.0)) == 0.0
+        for x in DAWSON_ARGS:
+            assert 2.0 * _dawson(x) == pytest.approx(2.0 * _mp_dawson(x), rel=1e-13, abs=0.0), x
+        assert _dawson(0.0) == 0.0
+
+    def test_gamma2_matches_mpmath(self):
+        for z in GAMMA2_ARGS:
+            with mp.workdps(40):
+                want = mp.gammainc(2, 0, mp.mpf(z), regularized=True)
+            assert _gamma2(z) == pytest.approx(float(want), rel=1e-13, abs=0.0), z
+        assert _gamma2(0.0) == 0.0
+
+    def test_limits_at_infinity(self):
+        # a subnormal scale b sends lambda2 / b to inf; each function
+        # returns its limit there instead of nan or an OverflowError
+        assert (_gamma2(math.inf), _erfcx(math.inf), _dawson(math.inf)) == (1.0, 0.0, 0.0)
+
+    def test_agree_with_scipy(self):
+        # scipy.special is what the moments called before; its dawsn is
+        # itself 1.0-1.5e-14 off mpmath on x in [0.0101, 0.0149], where
+        # test_dawson_piece_matches_erfi alone holds
+        for z in GAMMA2_ARGS:
+            assert _gamma2(z) == pytest.approx(float(special.gammainc(2.0, z)), rel=1e-14, abs=0.0), z
+        for x in ERFCX_ARGS:
+            assert _erfcx(x) == pytest.approx(float(special.erfcx(x)), rel=1e-14, abs=0.0), x
+        for x in DAWSON_ARGS:
+            if not 0.01 <= x <= 0.015:
+                assert _dawson(x) == pytest.approx(float(special.dawsn(x)), rel=1e-14, abs=0.0), x
 
     def test_center_outside_the_support_raises(self):
         with pytest.raises(ValueError):
