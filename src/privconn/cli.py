@@ -7,8 +7,9 @@ the empirical audits, and demo the exact-release reconstruction attack.
 Reports are JSON (sections: inputs, public_statistics, results, audit,
 plus a generated_at timestamp; keys sorted, so output is reproducible up
 to the timestamp); the tabular outputs (consensus curve, bounds sweep)
-can be CSV instead. A report that would hold a NaN or an infinity exits
-2 and names the field. --output takes a path or - for stdout. Exit codes:
+can be CSV instead. A report's inputs are the parsed arguments but
+--output and --format, with --eps as epsilon; bounds lists its own. A
+report that would hold a NaN or an infinity exits 2 and names the field. --output takes a path or - for stdout. Exit codes:
 0 success, 2 bad input, 3 infeasible privacy parameters, 4 numerical
 failure, 5 audit failure.
 """
@@ -86,12 +87,17 @@ def _params(args) -> PrivacyParams:
     return PrivacyParams(epsilon=args.eps, delta=args.delta, A=args.A)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+# the parsed arguments a report's inputs leave out: the dispatch and the
+# options that say where and how a report is written, not what it holds
+_NOT_INPUTS = ("command", "run", "output", "format")
+
+
+def _inputs(args) -> dict:
+    """The report's inputs: every parsed argument but _NOT_INPUTS, with
+    --eps shown as epsilon."""
+    inputs = {key: value for key, value in vars(args).items() if key not in _NOT_INPUTS}
+    inputs["epsilon"] = inputs.pop("eps")
+    return inputs
 
 
 def _json_report(inputs: dict, public: dict, results: dict, audit: dict | None = None) -> str:
@@ -131,42 +137,24 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _cmd_privatize(args) -> int:
+def _cmd_privatize(args) -> tuple[int, str]:
     graph = _read_graph(args.input)
-    params = _params(args)
-    rng = np.random.default_rng(args.seed)
-    release = privatize(graph, params, rng)
-    report = _json_report(
-        inputs={
-            "input": args.input,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "A": params.A,
-            "seed": args.seed,
-        },
+    release = privatize(graph, _params(args), np.random.default_rng(args.seed))
+    return EXIT_OK, _json_report(
+        inputs=_inputs(args),
         public={"n": release.n, "b": release.scale_b},
         results={"lambda2_tilde": release.lambda2_tilde},
     )
-    _emit(report, args.output)
-    return EXIT_OK
 
 
-def _cmd_solve_b(args) -> int:
-    params = _params(args)
-    b = solve_scale_b(params, float(args.n))
-    report = _json_report(
-        inputs={"n": args.n, "epsilon": params.epsilon, "delta": params.delta, "A": params.A},
-        public={"b": b},
-        results={"b": b},
-    )
-    _emit(report, args.output)
-    return EXIT_OK
+def _cmd_solve_b(args) -> tuple[int, str]:
+    b = solve_scale_b(_params(args), float(args.n))
+    return EXIT_OK, _json_report(inputs=_inputs(args), public={"b": b}, results={"b": b})
 
 
-def _cmd_consensus(args) -> int:
-    params = _params(args)
+def _cmd_consensus(args) -> tuple[int, str]:
     n = float(args.n)
-    b = solve_scale_b(params, n)
+    b = solve_scale_b(_params(args), n)
     grid = _parse_grid(args.t_grid, "t grid")
     # checks --a and --eta for both formats
     worst = worst_case_settle_time(b, n, args.a, args.eta)
@@ -174,19 +162,9 @@ def _cmd_consensus(args) -> int:
     bounds = errors / args.a
     rows = [[float(t), float(v), float(e)] for t, v, e in zip(grid, bounds, errors)]
     if args.format == "csv":
-        _emit(_csv_table(["t", "bound", "expected_error"], rows), args.output)
-        return EXIT_OK
-    report = _json_report(
-        inputs={
-            "lambda2": args.lambda2,
-            "n": args.n,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "A": params.A,
-            "a": args.a,
-            "eta": args.eta,
-            "t_grid": args.t_grid,
-        },
+        return EXIT_OK, _csv_table(["t", "bound", "expected_error"], rows)
+    return EXIT_OK, _json_report(
+        inputs=_inputs(args),
         public={"b": b},
         results={
             "settle_time": settle_time(args.lambda2, b, n, args.a, args.eta),
@@ -197,14 +175,12 @@ def _cmd_consensus(args) -> int:
             ],
         },
     )
-    _emit(report, args.output)
-    return EXIT_OK
 
 
 _BOUND_FIELDS = ("d_lower", "d_upper", "rho_lower", "rho_upper")
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, str]:
     lambda_n = args.lambda_n if args.lambda_n is not None else float(args.n)
     alpha = _parse_alpha(args.alpha)
     if args.sweep_eps is not None:
@@ -222,9 +198,8 @@ def _cmd_bounds(args) -> int:
             values = [getattr(rep, field) for rep in (exact, expd) for field in _BOUND_FIELDS]
             rows.append([float(eps), b, *values])
         if args.format == "csv":
-            _emit(_csv_table(header, rows), args.output)
-            return EXIT_OK
-        report = _json_report(
+            return EXIT_OK, _csv_table(header, rows)
+        return EXIT_OK, _json_report(
             inputs={
                 "lambda2": args.lambda2,
                 "lambda_n": lambda_n,
@@ -236,12 +211,10 @@ def _cmd_bounds(args) -> int:
             public={},
             results={"sweep": [dict(zip(header, row)) for row in rows]},
         )
-        _emit(report, args.output)
-        return EXIT_OK
     if args.format == "csv":
         raise ValueError("csv output is only available for tabular results (use --sweep-eps)")
     bounds = exact_bounds(args.lambda2, lambda_n, args.n, alpha)
-    report = _json_report(
+    return EXIT_OK, _json_report(
         inputs={
             "lambda2": args.lambda2,
             "lambda_n": lambda_n,
@@ -254,22 +227,17 @@ def _cmd_bounds(args) -> int:
             "min_degree_at_least": min_degree_inference(args.lambda2, args.n),
         },
     )
-    _emit(report, args.output)
-    return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, str]:
     params = _params(args)
     t_grid = _parse_grid(args.t_grid, "t grid")
     # a bad audit argument exits before the exhaustive scan and the draws
     _check_dp_audit(args.n, args.samples_per_graph, args.pairs, args.bins, args.scale_factor)
     _check_tail_audits(args.lambda2, float(args.n), t_grid, args.a, args.conc_trials, args.exp_trials)
     audit = {}
-    failed = False
     if args.n <= _MAX_SENSITIVITY_N:
-        sens = audit_sensitivity(args.n, params.A)
-        audit["sensitivity"] = sens.as_dict()
-        failed = failed or not sens.passed
+        audit["sensitivity"] = audit_sensitivity(args.n, params.A).as_dict()
     else:
         audit["sensitivity"] = {
             "skipped": True,
@@ -285,9 +253,8 @@ def _cmd_validate(args) -> int:
         scale_factor=args.scale_factor,
     )
     audit["dp_distinguisher"] = dp.as_dict()
-    failed = failed or not dp.passed
     b = dp.details["b"]
-    conc = audit_concentration(
+    audit["concentration"] = audit_concentration(
         args.lambda2,
         b,
         float(args.n),
@@ -295,40 +262,17 @@ def _cmd_validate(args) -> int:
         args.a,
         trials=args.conc_trials,
         seed=args.seed,
-    )
-    audit["concentration"] = conc.as_dict()
-    failed = failed or not conc.passed
-    expect = audit_expectations(
+    ).as_dict()
+    audit["expectations"] = audit_expectations(
         args.lambda2, b, float(args.n), trials=args.exp_trials, seed=args.seed
-    )
-    audit["expectations"] = expect.as_dict()
-    failed = failed or not expect.passed
-    report = _json_report(
-        inputs={
-            "n": args.n,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "A": params.A,
-            "samples_per_graph": args.samples_per_graph,
-            "pairs": args.pairs,
-            "bins": args.bins,
-            "seed": args.seed,
-            "scale_factor": args.scale_factor,
-            "lambda2": args.lambda2,
-            "a": args.a,
-            "t_grid": args.t_grid,
-            "conc_trials": args.conc_trials,
-            "exp_trials": args.exp_trials,
-        },
-        public={},
-        results={"passed": not failed},
-        audit=audit,
-    )
-    _emit(report, args.output)
-    return EXIT_AUDIT_FAILED if failed else EXIT_OK
+    ).as_dict()
+    # the skipped sensitivity scan has no flag
+    passed = all(section.get("passed", True) for section in audit.values())
+    report = _json_report(inputs=_inputs(args), public={}, results={"passed": passed}, audit=audit)
+    return EXIT_OK if passed else EXIT_AUDIT_FAILED, report
 
 
-def _cmd_attack_demo(args) -> int:
+def _cmd_attack_demo(args) -> tuple[int, str]:
     graph = _read_graph(args.input)
     # before the O(n^2) knowledge lists and the eigensolve, not after them
     if graph.n > _MAX_ENUMERATION_N:
@@ -346,8 +290,7 @@ def _cmd_attack_demo(args) -> int:
     # own, so the draw is privatize's
     lambda2 = algebraic_connectivity(graph)
     exact = exact_value_attack(graph.n, lambda2, known_present, known_absent, tol=args.tol)
-    params = _params(args)
-    release = _release(lambda2, graph.n, params, np.random.default_rng(args.seed))
+    release = _release(lambda2, graph.n, _params(args), np.random.default_rng(args.seed))
     noisy = attack_under_noise(
         graph.n,
         release.lambda2_tilde,
@@ -356,17 +299,8 @@ def _cmd_attack_demo(args) -> int:
         known_present=known_present,
         known_absent=known_absent,
     )
-    report = _json_report(
-        inputs={
-            "input": args.input,
-            "node": args.node,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "A": params.A,
-            "seed": args.seed,
-            "tol": args.tol,
-            "coverage": args.coverage,
-        },
+    return EXIT_OK, _json_report(
+        inputs=_inputs(args),
         public={"n": graph.n, "b": release.scale_b},
         results={
             "exact_release_leak": exact.as_dict(),
@@ -377,8 +311,6 @@ def _cmd_attack_demo(args) -> int:
             ),
         },
     )
-    _emit(report, args.output)
-    return EXIT_OK
 
 
 def _add_budget(parser: argparse.ArgumentParser) -> None:
@@ -473,7 +405,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code, text = args.run(args)
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except InfeasibleParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

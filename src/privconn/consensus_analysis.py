@@ -40,6 +40,8 @@ __all__ = [
 # the range of a sweep of that many even steps, which its two ends equal
 _SETTLE_GRID_POINTS = 10_000
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _check_threshold(a: float) -> None:
     if not (a > 0.0 and math.isfinite(a)):
@@ -72,14 +74,18 @@ def rho_terms(t, lambda2: float, b: float, n: float):
     t = np.asarray(t, dtype=float)
     if not ((t > 0.0) & np.isfinite(t)).all():
         raise ValueError("times must be positive and finite")
-    bt = b * t
-    decay = np.exp(-lambda2 * t)
-    z = -lambda2 * np.abs(1.0 - bt) / b
-    exprel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
-    below = (lambda2 / b) * np.exp(-lambda2 * np.minimum(t, 1.0 / b)) * exprel
-    rho1 = below + decay * math.expm1(-lambda2 / b)
-    rho2 = decay * (1.0 - math.exp((lambda2 - n) / b))
-    rho3 = (decay - np.exp((lambda2 - n * (bt + 1.0)) / b)) / (bt + 1.0)
+    # At a huge finite t a product overflows to an infinite exponent or
+    # denominator, whose limit is the value; b t is held at the largest
+    # float, so that lambda2 = 0 gives 0 * finite, not 0 * inf
+    with np.errstate(over="ignore"):
+        bt = np.minimum(b * t, _FLOAT_MAX)
+        decay = np.exp(-lambda2 * t)
+        z = -lambda2 * np.abs(1.0 - bt) / b
+        exprel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+        below = (lambda2 / b) * np.exp(-lambda2 * np.minimum(t, 1.0 / b)) * exprel
+        rho1 = below + decay * math.expm1(-lambda2 / b)
+        rho2 = decay * (1.0 - math.exp((lambda2 - n) / b))
+        rho3 = (decay - np.exp((lambda2 - n * (bt + 1.0)) / b)) / (bt + 1.0)
     if rho1.ndim:
         return rho1, rho2, rho3
     return float(rho1), float(rho2), float(rho3)

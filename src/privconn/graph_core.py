@@ -24,6 +24,11 @@ for n BFS passes in Python, so BFS is faster only on long thin graphs:
 paths beyond about 2,000 nodes (at 3,072 nodes a pass takes ~10 s against
 BFS's ~7 s).
 
+from_edge_list reads an edge list with numpy's loadtxt, comments and
+blank lines included, and hands any text that loadtxt or Graph refuses
+to a loop over the lines, the reference parser and the only one that
+names a bad line.
+
 A Graph is its node count and its (m, 2) edge array, which the
 Laplacian, the degrees and Seidel all start from; the frozenset of edges
 is built only for the callers that ask for it. A Graph never changes
@@ -38,7 +43,9 @@ exactly while it is at most 2^24 (n <= 4096).
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -125,11 +132,6 @@ _INVERSE_STEPS = 3
 # slower
 _SOLVE_BLOCK = 32
 
-
-# the bytes from_edge_list's array path accepts after the header line:
-# ASCII digits, space, tab and newline
-_PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[[ord(c) for c in "0123456789 \t\n"]] = True
 
 # Graph sorts its edges by the key lo * n + hi, so n^2 must fit in intp
 _KEY_MAX_N = math.isqrt(np.iinfo(np.intp).max)
@@ -232,6 +234,8 @@ def from_edge_list(text: str) -> Graph:
     be ``n=<int>`` declaring the node count (at least 2). Every following
     significant line is ``<u> <v>`` with 0-indexed endpoints. ``#`` starts
     a comment that runs to the end of the line; blank lines are skipped.
+    A header-first text of printable ASCII and tabs takes numpy's reader;
+    the rest, and every error, takes the line loop. Both give one graph.
 
     Raises:
         EdgeListError: on any malformed content, naming the offending line.
@@ -279,40 +283,29 @@ def _from_edge_lines(text: str) -> Graph:
 def _from_plain_edge_list(text: str) -> Graph | None:
     """from_edge_list's array path, or None where _from_edge_lines must decide.
 
-    It takes text whose first line is the header and whose other lines
-    hold only ASCII digits, spaces and tabs, zero or two numbers a line,
-    which is how large edge lists are written, and parses them with numpy
-    instead of one Python step a line. The graph it returns equals the
-    loop's. Comments, other whitespace and every error, a self loop or an
-    out-of-range endpoint included, are left to the loop, which names the
-    line.
+    It takes text whose first line is the header ``n=<digits>`` and whose
+    other lines hold printable ASCII, tabs and at least one data line, and
+    reads them with numpy's loadtxt instead of one Python step a line;
+    comments and blank lines included. The graph it returns equals the
+    loop's. Whatever loadtxt or Graph refuses (a self loop, an
+    out-of-range or overflowing endpoint, a line of other than two
+    numbers, a token int() would read but numpy does not) is left to the
+    loop, which names the line. A body with no data line goes to the loop
+    too, since loadtxt warns on it.
     """
     head, _, body = text.partition("\n")
-    digits = head[2:]
-    if not (head.startswith("n=") and digits.isascii() and digits.isdigit() and body.isascii()):
+    if not (
+        re.fullmatch("n=[0-9]+", head)
+        and body.isascii()
+        and body.replace("\t", " ").replace("\n", " ").isprintable()
+        and re.search(r"^[ \t]*[^\s#]", body, re.MULTILINE)
+    ):
         return None
-    n = int(digits)
-    # numpy saturates an overflowing token at 2^63 - 1, which must stay >= n
-    if not 2 <= n < 2**62:
+    try:
+        # on fewer than 2 nodes Graph refuses the data line's edge
+        return Graph.from_edges(int(head[2:]), np.loadtxt(io.StringIO(body), dtype=np.intp, ndmin=2))
+    except ValueError:
         return None
-    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    if not _PLAIN_BYTES[raw].all():
-        return None
-    digit = raw >= ord("0")
-    starts = digit.copy()
-    starts[1:] &= ~digit[:-1]
-    per_line = np.bincount(np.cumsum(raw == ord("\n"))[starts])
-    if ((per_line != 0) & (per_line != 2)).any():
-        return None
-    count = np.count_nonzero(starts)
-    values = np.fromstring(body, dtype=np.intp, sep=" ") if count else np.zeros(0, np.intp)
-    if values.size != count:
-        return None
-    u, v = values[0::2], values[1::2]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if not (lo < hi).all() or (hi.size and hi.max() >= n):
-        return None
-    return Graph(n, np.stack([lo, hi], axis=1))
 
 
 def laplacians(n: int, pairs, weights) -> np.ndarray:

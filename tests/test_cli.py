@@ -606,3 +606,59 @@ def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+class TestReportInputs:
+    """A report's inputs are its parsed arguments, save the dispatch and
+    the output options, with --eps shown as epsilon; bounds keeps its own
+    two lists."""
+
+    @staticmethod
+    def parsed(argv):
+        inputs = vars(cli.build_parser().parse_args(argv)).copy()
+        for key in ("command", "run", "output", "format"):
+            inputs.pop(key, None)
+        inputs["epsilon"] = inputs.pop("eps")
+        return inputs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["privatize", "--input", "GRAPH", "--seed", "3", "--eps", "0.8", "--output", "-"],
+            ["solve-b", "--n", "10", "--A", "2"],
+            ["consensus", "--lambda2", "2.5", "--n", "10", "--t-grid", "1:10:3", "--format", "json"],
+            ["validate", "--n", "4", "--pairs", "0", "--samples-per-graph", "100000", "--scale-factor", "0.5"],
+            ["attack-demo", "--input", "GRAPH", "--node", "1", "--seed", "4", "--tol", "0.5"],
+        ],
+    )
+    def test_inputs_are_the_parsed_arguments(self, capsys, tmp_path, argv):
+        path = tmp_path / "g.txt"
+        path.write_text(CYCLE4)
+        argv = [str(path) if a == "GRAPH" else a for a in argv]
+        code, rep = run_json(capsys, argv)
+        assert code in (0, 5)
+        assert rep["inputs"] == self.parsed(argv)
+
+    def test_bounds_keeps_its_two_lists(self, capsys):
+        _, rep = run_json(capsys, ["bounds", "--lambda2", "2.0", "--n", "10", "--delta", "0.1"])
+        assert rep["inputs"] == {"lambda2": 2.0, "lambda_n": 10.0, "n": 10, "alpha": "auto"}
+        argv = ["bounds", "--lambda2", "2.0", "--n", "10", "--lambda-n", "9", "--sweep-eps", "0.5:1:2"]
+        _, rep = run_json(capsys, argv)
+        assert rep["inputs"] == {
+            "lambda2": 2.0, "lambda_n": 9.0, "n": 10, "delta": 0.05, "A": 1, "sweep_eps": "0.5:1:2",
+        }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["consensus", "--lambda2", "1", "--n", "10", "--t-grid", "1:1e308:3"],
+        ["consensus", "--lambda2", "0", "--n", "10", "--t-grid", "1:1.7e308:3", "--format", "csv"],
+        ["validate", "--n", "4", "--lambda2", "0", "--t-grid", "1:1.7e308:3"],
+    ],
+)
+def test_huge_finite_times_report_cleanly(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert "nan" not in out.lower()

@@ -163,6 +163,20 @@ class TestExpectedRateError:
             val = expected_rate_error(t, lam2, b, n)
             assert 0.0 <= val <= 1.0 + 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam2", [0.0, 1e-300, 1.0, N])
+    def test_huge_finite_times(self, lam2):
+        """b t overflows from t = 1e308 and n (b t + 1) from 1e307; no
+        warning, no NaN, and lambda2 = 0 keeps its limit 1."""
+        ts = [1e300, 1e307, 1e308, 1.7e308]
+        got = [expected_rate_error(t, lam2, B, N) for t in ts]
+        assert expected_rate_error(np.array(ts), lam2, B, N).tolist() == got
+        if lam2 == 0.0:
+            assert got == [1.0] * 4
+            assert _mp_rate_error(1.7e308, lam2, B, N) == 1.0
+        else:
+            assert all(0.0 <= v <= got[0] for v in got)
+
     def test_vectorized_over_t(self):
         ts = np.geomspace(0.01, 100.0, 40)
         vec = expected_rate_error(ts, LAM2, B, N)
@@ -175,7 +189,7 @@ class TestConcentrationBound:
     def test_is_markov_over_the_error(self):
         bound = concentration_bound(5.0, 0.2, LAM2, B, N)
         assert bound == pytest.approx(
-            expected_rate_error(5.0, LAM2, B, N) / 0.2, rel=1e-14
+            expected_rate_error(5.0, LAM2, B, N) / 0.2, rel=1e-14, abs=0.0
         )
 
     def test_reports_vacuity_instead_of_clamping(self):

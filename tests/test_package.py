@@ -110,3 +110,23 @@ def test_every_public_name_is_used_by_the_program_or_the_benchmark():
     # from a command or a workload, not only from tests
     public = set(privconn.__all__) - {"__version__"}
     assert sorted(public - _names_read(CALLERS)) == []
+
+
+# pytest.approx keeps its default abs=1e-12 beside any rel, so a rel
+# tighter than this checks only 1e-12 absolute on values of order 1
+_TIGHTEST_REL_ALONE = 1e-12
+
+
+def test_no_tight_rel_without_abs():
+    loose = []
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("test_*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            rel = keywords.get("rel")
+            if name == "approx" and "abs" not in keywords and isinstance(rel, ast.Constant):
+                if rel.value < _TIGHTEST_REL_ALONE:
+                    loose.append(f"{path.name}:{node.lineno} rel={rel.value}")
+    assert loose == []
