@@ -43,6 +43,7 @@ exactly while it is at most 2^24 (n <= 4096).
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import re
@@ -94,15 +95,16 @@ _SPARSE_MAX_N = 500_000
 # graphs, whose lambda2 has close neighbours, took 58-106 steps at
 # n = 1,200-8,000; a cap of 32 stopped 7 of 9 dense G(n, p) graphs at mean
 # degree 200 (n = 400-1,000), 48 none. The dense basis is 13 MB at 13,000
-# nodes, against the dense route's 24 n^2 bytes
+# nodes, against the dense route's 16 n^2 bytes
 _LANCZOS_STEPS = 128
 
-# The dense lambda2 route holds about three n x n float64 arrays, 24 n^2
-# bytes: the shifted Laplacian, a Cholesky factor and LAPACK's copy of its
-# input while it factors (or the eigensolver's copy, where eigvalsh runs).
-# That is 3.8 GiB at the cap, under half of an 8 GB machine. Past that numpy
-# can overcommit the allocation and the process is killed instead of raising
-# MemoryError, so larger dense graphs are refused before anything is built.
+# The dense lambda2 route holds two n x n float64 arrays: the shifted
+# Laplacian and its Cholesky factor, which LAPACK makes in place, or
+# eigvalsh's copy. Without numpy's dpotrf, np.linalg.cholesky's buffer is
+# a third, 24 n^2 bytes: 3.8 GiB at the cap, under half of an 8 GB machine.
+# Past that numpy can overcommit and the process is killed instead of
+# raising MemoryError, so larger dense graphs are refused before anything
+# is built.
 _DENSE_MAX_N = 13_000
 
 # The dense lambda2 route estimates by Lanczos above this many nodes and by
@@ -131,6 +133,17 @@ _INVERSE_STEPS = 3
 # n = 400-2,048 on a 2-core Xeon counting the block inverses, 16 and 128
 # slower
 _SOLVE_BLOCK = 32
+
+
+# dpotrf from the OpenBLAS numpy's linalg extension links (the ILP64 symbol
+# of numpy's scipy-openblas builds); None under any other LAPACK
+try:
+    _DPOTRF = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dpotrf_64_
+    _I64 = ctypes.POINTER(ctypes.c_int64)
+    _DPOTRF.argtypes = (ctypes.c_char_p, _I64, ctypes.c_void_p, _I64, _I64)
+    _DPOTRF.restype = None
+except (AttributeError, OSError):
+    _DPOTRF = None
 
 
 # Graph sorts its edges by the key lo * n + hi, so n^2 must fit in intp
@@ -357,7 +370,7 @@ def spectrum(graph: Graph) -> SpectralSummary:
     L, w = _eigvalsh(graph, "spectrum")
     tol, n, top = _LAMBDA2_TOL, graph.n, float(_snap(w[-1], graph.n))
     # -L with sigma - degree on its diagonal is sigma I - L; negating in
-    # place, and back, keeps to the route's three n x n arrays
+    # place, and back, keeps to the route's two n x n arrays
     degrees = L.diagonal().copy()
     L *= -1.0
     if top + tol < n and _cholesky(L, -degrees, -(top + tol)) is None:
@@ -413,7 +426,7 @@ def algebraic_connectivity(graph: Graph) -> float:
     C C^T drives the upper check: x is the Ritz vector, or after eigvalsh
     one solve from sin(1..n), and up to three steps of inverse iteration
     follow where its bound fails. Graphs above 13,000 nodes are refused
-    here, before the 24 n^2 bytes the route needs are allocated.
+    here, before the route's n x n arrays are allocated.
 
     Sparse: the rank-one term would fill a sparse matrix, so the constant
     vector is projected out instead: a sparse LU of L - sigma I, with
@@ -651,15 +664,28 @@ def _rayleigh_bound(pairs: np.ndarray, x: np.ndarray) -> float:
 
 
 def _cholesky(M: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
-    """The lower Cholesky factor of M - shift I, with diag the diagonal
-    of M, or None where it has none."""
+    """A lower Cholesky factor of M - shift I (diag: M's diagonal), or None.
+
+    dpotrf('L') factors a copy in place, reading it in column order, which
+    is the same exactly symmetric matrix; so the factor is the copy's
+    transposed view, whose lower triangle is np.linalg.cholesky's bit for
+    bit and whose strict upper triangle still holds M. numpy's wrapper, the
+    fallback, also copies into and out of a work buffer and zeroes that
+    triangle: 19.3 against 7.7 ms on path 1024 on a 2-core Xeon.
+    """
     np.fill_diagonal(M, diag - shift)
-    try:
-        # M is exactly symmetric; its transpose is the column-major view
-        # LAPACK takes without a transposing copy (see _eigvalsh)
-        return np.linalg.cholesky(M.T)
-    except np.linalg.LinAlgError:
-        return None
+    if _DPOTRF is None:
+        try:
+            return np.linalg.cholesky(M.T)
+        except np.linalg.LinAlgError:
+            return None
+    A = M.copy()
+    n, info = ctypes.c_int64(len(A)), ctypes.c_int64()
+    # the address, not A.ctypes.data_as, which leaves a reference cycle
+    _DPOTRF(b"L", n, ctypes.c_void_p(A.ctypes.data), n, info)
+    if info.value < 0:
+        raise RuntimeError(f"dpotrf rejected its argument {-info.value}")
+    return A.T if info.value == 0 else None
 
 
 def _certify_upper(pairs: np.ndarray, solve, r: float, x: np.ndarray) -> None:
@@ -687,22 +713,24 @@ def _certify_upper(pairs: np.ndarray, solve, r: float, x: np.ndarray) -> None:
 
 
 def _cholesky_solver(C: np.ndarray):
-    """x -> (C C^T)^-1 x for a lower-triangular C, by blocked substitution.
+    """x -> (C C^T)^-1 x for the lower triangle C, by blocked substitution.
 
     numpy has no triangular solve and the dense route does not import
     scipy. Each diagonal block of _SOLVE_BLOCK rows is inverted at the
     first solve, so an unused solver costs nothing, and a solve is
     matrix-vector products alone: forward through C, then back through
-    C^T, each block after one product with the rows or columns solved. At n = 1,024 on a 2-core Xeon the inverses take about
-    0.6 ms and a solve 0.4 ms (1.0 ms with np.linalg.solve on each block),
-    against 6-13 ms for the factorization.
+    C^T, each block after one product with the rows or columns solved.
+    Only C's lower triangle is read, so C may be _cholesky's transposed
+    view. At n = 1,024 on a 2-core Xeon the inverses take about 1 ms and
+    a solve 0.5-0.8 ms on that view as on a C-ordered factor (1.0 ms with
+    np.linalg.solve on each block), against 8-10 ms for the factorization.
     """
     starts = range(0, len(C), _SOLVE_BLOCK)
     inverses = []
 
     def solve(x: np.ndarray) -> np.ndarray:
         if not inverses:
-            inverses.extend(np.linalg.inv(C[i : i + _SOLVE_BLOCK, i : i + _SOLVE_BLOCK]) for i in starts)
+            inverses.extend(np.linalg.inv(np.tril(C[i : i + _SOLVE_BLOCK, i : i + _SOLVE_BLOCK])) for i in starts)
         z = x.copy()
         for i, inverse in zip(starts, inverses):
             j = i + _SOLVE_BLOCK

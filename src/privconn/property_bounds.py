@@ -304,6 +304,8 @@ def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:
     if not (0.0 <= lambda2 <= n):
         raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
+    if lambda2 > 0.0 and math.isinf(lambda2 / b):
+        return 1.0 / math.sqrt(lambda2)  # the limit as b -> 0; both pieces underflow
     a, c = math.sqrt(lambda2 / b), math.sqrt(n / b)
     below = 2.0 * _dawson(a)
     if b >= n:

@@ -308,6 +308,24 @@ def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> fl
         )
 
 
+def mp_narrow_expectation(func, center: float, b: float, n: float, reach: float = 80.0, dps: int = 60) -> float:
+    """E[func(X)] under the bounded Laplace law, for b far below the support.
+
+    mp_expectation's nodes cannot resolve a law a few b wide once b is
+    below about 1e-60 (it returns 0 at b = 1e-300), so this integrates in
+    u = (x - center) / b, over |u| <= reach inside the support; the mass
+    left out beyond reach is at most e^-reach of the total.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        c, bb, nn = mp.mpf(center), mp.mpf(b), mp.mpf(n)
+        C = 1 - (mp.exp(-c / bb) + mp.exp(-(nn - c) / bb)) / 2
+        lo, hi = max(-c / bb, -reach), min((nn - c) / bb, reach)
+        nodes = [lo, *([0] if lo < 0 < hi else []), hi]
+        return float(mp.quad(lambda u: func(c + bb * u) * mp.exp(-abs(u)) / (2 * C), nodes))
+
+
 def mp_mass(center: float, b: float, n: float, lo: float, hi: float, dps: int = 40) -> float:
     """P(lo <= X <= hi) under the bounded Laplace law, in high-precision
     arithmetic: the untruncated Laplace distribution function in plain exp,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,33 @@ class TestPrivatize:
             ]
         )
         assert [m for m in modules if m.startswith("scipy")] == []
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (256, [(r * 16 + c, r * 16 + c + 1) for r in range(16) for c in range(15)]
+             + [(r * 16 + c, r * 16 + c + 16) for r in range(15) for c in range(16)]),
+            (256, [(v, v ^ (1 << i)) for v in range(256) for i in range(8) if v < v ^ (1 << i)]),
+            (320, [(i, i + 1) for i in range(319)]),
+            (300, [(0, i) for i in range(1, 300)]),
+            (60, [(u, v) for u in range(60) for v in range(u + 1, 60)]),
+        ],
+        ids=["grid16x16", "hypercube8", "path320", "star300", "complete60"],
+    )
+    def test_small_release_repeats_under_numpy_cholesky(self, capsys, tmp_path, monkeypatch, n, edges):
+        # at or below 320 nodes lambda2 comes from eigvalsh and a factor
+        # only certifies it, so LAPACK's dpotrf and numpy's wrapper release
+        # the same bytes
+        path = tmp_path / "g.txt"
+        path.write_text(f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        argv = ["privatize", "--input", str(path), "--seed", "5"]
+        outs = []
+        for dpotrf in (graph_core._DPOTRF, None):
+            monkeypatch.setattr(graph_core, "_DPOTRF", dpotrf)
+            code, out = run(capsys, argv)
+            assert code == 0
+            outs.append(re.sub(r'"generated_at": "[^"]*"', "", out))
+        assert outs[0] == outs[1]
 
     def test_sparse_release_repeats_across_interpreters(self, capsys, tmp_path, fresh_python):
         # the 2048-node cycle takes the sparse route; its fixed start vector

@@ -530,25 +530,22 @@ class TestAlgebraicConnectivity:
 
     @staticmethod
     def _count_dense_work(monkeypatch):
-        """Record the shift of each dense factorization, count the calls to
-        np.linalg.cholesky and the Rayleigh bounds taken."""
+        """Record the shift and the order of each dense factorization, at
+        _cholesky, the one function that factors whichever LAPACK binding
+        runs, and the Rayleigh bounds taken."""
         shifts, factored, bounds = [], [], []
-        cholesky, factor, rayleigh_bound = graph_core._cholesky, np.linalg.cholesky, graph_core._rayleigh_bound
+        cholesky, rayleigh_bound = graph_core._cholesky, graph_core._rayleigh_bound
 
-        def counted_shift(M, diag, shift):
+        def counted_factor(M, diag, shift):
             shifts.append(shift)
-            return cholesky(M, diag, shift)
-
-        def counted_factor(M):
             factored.append(len(M))
-            return factor(M)
+            return cholesky(M, diag, shift)
 
         def counted_bound(pairs, x):
             bounds.append(rayleigh_bound(pairs, x))
             return bounds[-1]
 
-        monkeypatch.setattr(graph_core, "_cholesky", counted_shift)
-        monkeypatch.setattr(np.linalg, "cholesky", counted_factor)
+        monkeypatch.setattr(graph_core, "_cholesky", counted_factor)
         monkeypatch.setattr(graph_core, "_rayleigh_bound", counted_bound)
         return shifts, factored, bounds
 
@@ -827,6 +824,77 @@ class TestAlgebraicConnectivity:
         monkeypatch.setattr(np.linalg, "eigvalsh", diverges)
         with pytest.raises(NumericalError, match="did not converge"):
             algebraic_connectivity(C4)
+
+
+class TestCholesky:
+    """_cholesky's LAPACK dpotrf against the np.linalg.cholesky it replaces."""
+
+    # the release workload's members: (edges, n, lambda2)
+    RELEASE = {
+        "star512": ([(0, i) for i in range(1, 512)], 512, 1.0),
+        "cycle2048": (_cycle_edges(2048), 2048, 2.0 - 2.0 * math.cos(2.0 * math.pi / 2048)),
+        "grid32x32": (_grid_edges(32), 1024, 2.0 - 2.0 * math.cos(math.pi / 32)),
+        "complete400": (oc.edge_slots(400), 400, 400.0),
+        "path1536": (_path_edges(1536), 1536, 2.0 - 2.0 * math.cos(math.pi / 1536)),
+        "hypercube9": (_hypercube_edges(9), 512, 2.0),
+        "cycle768": (_cycle_edges(768), 768, 2.0 - 2.0 * math.cos(2.0 * math.pi / 768)),
+        "hypercube10": (_hypercube_edges(10), 1024, 2.0),
+        "complete600": (oc.edge_slots(600), 600, 600.0),
+        "grid39x39": (_grid_edges(39), 39**2, 2.0 - 2.0 * math.cos(math.pi / 39)),
+        "grid24x24": (_grid_edges(24), 576, 2.0 - 2.0 * math.cos(math.pi / 24)),
+        "path1024": (_path_edges(1024), 1024, 2.0 - 2.0 * math.cos(math.pi / 1024)),
+        "star1536": ([(0, i) for i in range(1, 1536)], 1536, 1.0),
+        "path768": (_path_edges(768), 768, 2.0 - 2.0 * math.cos(math.pi / 768)),
+        "cycle512": (_cycle_edges(512), 512, 2.0 - 2.0 * math.cos(2.0 * math.pi / 512)),
+    }
+    # M(lambda2 - tol) on three of them and on K_7
+    SHIFTED = {
+        "path1024": RELEASE["path1024"],
+        "grid32x32": RELEASE["grid32x32"],
+        "cycle512": RELEASE["cycle512"],
+        "complete7": (oc.edge_slots(7), 7, 7.0),
+    }
+
+    @staticmethod
+    def _shifted(edges, n):
+        """M = L + ((n + 1)/n) 11^T and its diagonal: M - sigma I is positive
+        definite iff lambda2 > sigma."""
+        M = laplacian(_graph(n, edges)) + (n + 1.0) / n
+        return M, M.diagonal().copy()
+
+    @pytest.mark.parametrize("family", SHIFTED)
+    def test_lapack_factor_is_numpy_cholesky_bit_for_bit(self, family):
+        edges, n, want = self.SHIFTED[family]
+        M, diag = self._shifted(edges, n)
+        C = graph_core._cholesky(M, diag, want - _LAMBDA2_TOL)
+        assert np.array_equal(np.tril(C), np.linalg.cholesky(M.T))
+
+    @pytest.mark.parametrize("binding", ["dpotrf", "numpy"])
+    @pytest.mark.parametrize("family", SHIFTED)
+    def test_both_bindings_refuse_just_above_lambda2(self, monkeypatch, family, binding):
+        if binding == "numpy":
+            monkeypatch.setattr(graph_core, "_DPOTRF", None)
+        edges, n, want = self.SHIFTED[family]
+        M, diag = self._shifted(edges, n)
+        assert graph_core._cholesky(M, diag, want + 1e-6) is None
+        assert graph_core._cholesky(M, diag, want - _LAMBDA2_TOL) is not None
+
+    def test_numpy_openblas_binds_dpotrf(self):
+        # numpy's scipy-openblas builds export dpotrf; were the symbol
+        # renamed, every dense factorization would fall back to numpy's
+        # wrapper, about twice as slow, and nothing else would fail
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+        assert lapack != "scipy-openblas" or graph_core._DPOTRF is not None
+
+    @pytest.mark.parametrize("family", RELEASE)
+    def test_numpy_fallback_certifies_the_release_members(self, monkeypatch, family):
+        # without dpotrf the dense lambda2 route and spectrum, its two
+        # lambda_n tests included, factor with np.linalg.cholesky
+        monkeypatch.setattr(graph_core, "_DPOTRF", None)
+        edges, n, want = self.RELEASE[family]
+        g = _graph(n, edges)
+        assert algebraic_connectivity(g) == pytest.approx(want, abs=_LAMBDA2_TOL)
+        assert spectrum(g).lambda2 == pytest.approx(want, abs=_LAMBDA2_TOL)
 
 
 class TestDistances:

@@ -310,6 +310,23 @@ class TestExpectedMoments:
                     oc.mp_expectation(lambda x: 1 / mp.sqrt(x), lam2, b, n), rel=1e-13, abs=0.0
                 ), (lam2, n)
 
+    @pytest.mark.parametrize(
+        "lam2, b",
+        [(0.5, 1e-310), (1.0, 1e-310), (1e-15, 5e-324), (10.0, 5e-324)]
+        + [(lam2, 1e-300) for lam2 in (1e-15, 0.5, 1.0, 3.0, 10.0)],
+    )
+    def test_inv_sqrt_mean_at_a_vanishing_scale(self, lam2, b):
+        # the law narrows onto lambda2, so the mean of 1/sqrt(draw) tends to
+        # 1/sqrt(lambda2); at a subnormal b lambda2/b overflows, both
+        # closed-form pieces underflow to 0, and the limit is returned
+        n = 10.0
+        got = expected_inv_sqrt_lambda2(lam2, b, n)
+        assert got == pytest.approx(
+            oc.mp_narrow_expectation(lambda x: 1 / mp.sqrt(x), lam2, b, n), rel=1e-13, abs=0.0
+        )
+        if math.isinf(lam2 / b):
+            assert got == 1.0 / math.sqrt(lam2)
+
     def test_midpoint_center_is_unbiased(self):
         for n, b in [(10.0, 7.39), (6.0, 0.5), (30.0, 100.0)]:
             assert expected_lambda2(n / 2.0, b, n) == pytest.approx(
