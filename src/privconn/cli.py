@@ -184,8 +184,8 @@ def _cmd_bounds(args) -> tuple[int, str]:
     lambda_n = args.lambda_n if args.lambda_n is not None else float(args.n)
     alpha = _parse_alpha(args.alpha)
     if args.sweep_eps is not None:
-        # the sweep always optimizes each bound's base; a pinned --alpha
-        # only applies to the single-report form
+        if alpha is not None:
+            raise ValueError("--alpha applies to the single report only; the sweep optimizes each base")
         eps_values = _parse_grid(args.sweep_eps, "epsilon sweep")
         exact = exact_bounds(args.lambda2, lambda_n, args.n)
         header = ["epsilon", "b"]

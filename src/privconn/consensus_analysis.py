@@ -5,7 +5,7 @@ exp(-lambda2 * t). An analyst who only sees the private release
 lambda2_tilde estimates that contraction as exp(-lambda2_tilde * t); the
 machinery here quantifies the drift. expected_rate_error integrates
 |exp(-X t) - exp(-lambda2 t)| in closed form over the truncated Laplace
-law of X (three pieces: rho_terms), concentration_bound turns it into a
+law of X (three pieces: _rho_terms), concentration_bound turns it into a
 tail probability via Markov, and settle_time inverts the bound: past the
 settle time the estimate stays within the tolerance except with the
 stated probability, whatever the draw was.
@@ -13,11 +13,12 @@ stated probability, whatever the draw was.
 Every function takes and returns plain numbers: a time t (a float, or an
 array of times where the result is per time), the deviation threshold
 a > 0, and for the settle times the probability ceiling eta in (0, 1).
-The functions that read a or eta check them.
+The functions that read a or eta check them, and normalizer_C, which
+each function reaches, checks the law (lambda2, b, n).
 
-rho_terms writes the below-centre piece with exprel(z) = expm1(z)/z of a
-nonpositive z, one expression that neither divides by b*t - 1 nor
-overflows, on either side of b*t = 1.
+_rho_terms writes the below-centre piece with the gap |t - 1/b|, one
+expression that neither divides by b*t - 1 nor overflows, on either side
+of b*t = 1 and at any finite t.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import math
 
 import numpy as np
 
-from .privacy_mechanism import _check_scale, normalizer_C
+from .privacy_mechanism import normalizer_C
 
 __all__ = [
-    "rho_terms",
     "expected_rate_error",
     "concentration_bound",
     "settle_time",
@@ -48,29 +48,23 @@ def _check_threshold(a: float) -> None:
         raise ValueError(f"deviation threshold must be positive and finite, got {a}")
 
 
-def _check_inputs(lambda2: float, b: float, n: float) -> None:
-    _check_scale(b)
-    if not (n > 0.0 and math.isfinite(n)):
-        raise ValueError(f"domain width must be positive and finite, got {n}")
-    if not (0.0 <= lambda2 <= n):
-        raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
-
-
-def rho_terms(t, lambda2: float, b: float, n: float):
-    """The three pieces of the absolute-error integral, before the 1/(2C).
+def _rho_terms(t, lambda2: float, b: float, n: float):
+    """The three pieces of the absolute-error integral, before the 1/(2C),
+    for a law the caller has checked.
 
     rho1 collects the mass below the center, rho2 and rho3 split the mass
     above it; all three are nonnegative for t > 0. rho1 is
-    (lambda2/b) exp(-lambda2 min(t, 1/b)) exprel(-lambda2 |1 - bt|/b)
-    + exp(-lambda2 t) expm1(-lambda2/b). Every exponent is nonpositive,
-    so exprel(z) = expm1(z)/z (1 at z = 0) lies in (0, 1] and no term
-    overflows; near bt = 1 it tends to 1 without a division by bt - 1.
+    exp(-lambda2 min(t, 1/b)) (-expm1(-lambda2 gap)) / (b gap)
+    + exp(-lambda2 t) expm1(-lambda2/b) with gap = |t - 1/b|, and
+    lambda2/b in place of the quotient where gap = 0. Every exponent is
+    nonpositive, and the quotient is divided by b and then by gap, so no
+    product overflows: near bt = 1 it tends to lambda2/b without a
+    division by bt - 1, and at a huge t it falls like 1/(b t).
     Accepts a scalar t or an array of times.
 
     Raises:
         ValueError: if any time is not positive and finite.
     """
-    _check_inputs(lambda2, b, n)
     t = np.asarray(t, dtype=float)
     if not ((t > 0.0) & np.isfinite(t)).all():
         raise ValueError("times must be positive and finite")
@@ -80,9 +74,12 @@ def rho_terms(t, lambda2: float, b: float, n: float):
     with np.errstate(over="ignore"):
         bt = np.minimum(b * t, _FLOAT_MAX)
         decay = np.exp(-lambda2 * t)
-        z = -lambda2 * np.abs(1.0 - bt) / b
-        exprel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
-        below = (lambda2 / b) * np.exp(-lambda2 * np.minimum(t, 1.0 / b)) * exprel
+        gap = np.abs(t - 1.0 / b)
+        scale = np.exp(-lambda2 * np.minimum(t, 1.0 / b)) / b
+        # divided by gap last, so a huge t rounds once into the subnormals
+        below = np.divide(
+            scale * -np.expm1(-lambda2 * gap), gap, out=np.asarray(scale * lambda2), where=gap != 0.0
+        )
         rho1 = below + decay * math.expm1(-lambda2 / b)
         rho2 = decay * (1.0 - math.exp((lambda2 - n) / b))
         rho3 = (decay - np.exp((lambda2 - n * (bt + 1.0)) / b)) / (bt + 1.0)
@@ -96,11 +93,11 @@ def expected_rate_error(t, lambda2: float, b: float, n: float):
 
     E |exp(-X t) - exp(-lambda2 t)| with X drawn from the truncated
     Laplace centered at lambda2 with scale b on [0, n]: the pieces of
-    rho_terms combined as (rho1 + rho2 - rho3) / (2C), floored at 0.
+    _rho_terms combined as (rho1 + rho2 - rho3) / (2C), floored at 0.
     Accepts a scalar t > 0 or an array of such times.
     """
-    rho1, rho2, rho3 = rho_terms(t, lambda2, b, n)
     C = normalizer_C(lambda2, b, n)
+    rho1, rho2, rho3 = _rho_terms(t, lambda2, b, n)
     out = np.maximum((np.asarray(rho1) + rho2 - rho3) / (2.0 * C), 0.0)
     return out if out.ndim else float(out)
 
@@ -119,18 +116,6 @@ def concentration_bound(t, a: float, lambda2: float, b: float, n: float):
     return expected_rate_error(t, lambda2, b, n) / a
 
 
-def _settle(lambda2: float, b: float, n: float, a: float, eta: float) -> float:
-    _check_threshold(a)
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"probability ceiling must lie in (0, 1), got {eta}")
-    C = normalizer_C(lambda2, b, n)
-    base = 2.0 * a * C * eta
-    if lambda2 <= n / 2.0:
-        hump = (math.exp(-lambda2 / b) - math.exp((lambda2 - n) / b)) * b / (lambda2 * math.e)
-        return (hump + base + 1.0) / (base * b)
-    return (base + 1.0) / (base * b)
-
-
 def settle_time(lambda2: float, b: float, n: float, a: float, eta: float) -> float:
     """Time after which the concentration bound at deviation a stays
     below eta.
@@ -144,10 +129,17 @@ def settle_time(lambda2: float, b: float, n: float, a: float, eta: float) -> flo
             (0, 1), or lambda2 is not strictly positive (a disconnected
             graph never contracts, so no finite settle time exists).
     """
-    _check_inputs(lambda2, b, n)
+    C = normalizer_C(lambda2, b, n)
     if lambda2 == 0.0:
         raise ValueError("lambda2 must be strictly positive for a settle time")
-    return _settle(lambda2, b, n, a, eta)
+    _check_threshold(a)
+    if not (0.0 < eta < 1.0):
+        raise ValueError(f"probability ceiling must lie in (0, 1), got {eta}")
+    base = 2.0 * a * C * eta
+    if lambda2 <= n / 2.0:
+        hump = (math.exp(-lambda2 / b) - math.exp((lambda2 - n) / b)) * b / (lambda2 * math.e)
+        return (hump + base + 1.0) / (base * b)
+    return (base + 1.0) / (base * b)
 
 
 def worst_case_settle_time(b: float, n: float, a: float, eta: float) -> float:
@@ -163,8 +155,7 @@ def worst_case_settle_time(b: float, n: float, a: float, eta: float) -> float:
     1/b + 1/(base * b) with C falling, so it rises toward n. The hump is
     zero at n/2, where the value is smallest, so n/2 never wins.
     """
-    _check_inputs(float(n), b, n)
     return max(
-        _settle(n / _SETTLE_GRID_POINTS, b, n, a, eta),
-        _settle(float(n), b, n, a, eta),
+        settle_time(n / _SETTLE_GRID_POINTS, b, n, a, eta),
+        settle_time(float(n), b, n, a, eta),
     )

@@ -79,9 +79,18 @@ def sensitivity_bound(A: int) -> float:
     return 2.0 * A
 
 
-def _check_scale(b: float) -> None:
-    if not (b > 0.0 and math.isfinite(b)):
+def _check_law(center: float, b: float, n: float) -> None:
+    """Raise unless (center, b, n) is a bounded Laplace law: scale b and
+    width n positive and finite, center in [0, n]. The only check of a
+    law; the functions that take one reach it, most through normalizer_C
+    or BoundedLaplaceDist. A NaN fails every comparison, so it fails here.
+    """
+    if not 0.0 < b < math.inf:
         raise ValueError(f"scale must be positive and finite, got {b}")
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"domain width must be positive and finite, got {n}")
+    if not 0.0 <= center <= n:
+        raise ValueError(f"lambda2 = {center} outside the support [0, {n}]")
 
 
 def normalizer_C(center: float, b: float, n: float) -> float:
@@ -89,16 +98,14 @@ def normalizer_C(center: float, b: float, n: float) -> float:
 
     C = 1 - (exp(-center/b) + exp(-(n - center)/b)) / 2, computed through
     expm1 so that wide scales (b >> n, where C is tiny) keep full relative
-    precision. Always in (0, 1) for center inside the domain: an infinite
-    scale, which would make it 0, is rejected with the other invalid ones.
+    precision. Always in (0, 1) for a valid law: an infinite scale, which
+    would make it 0, is rejected with the other invalid ones.
 
     Raises:
-        ValueError: if b is not positive and finite, or center lies
+        ValueError: if b or n is not positive and finite, or center lies
             outside [0, n].
     """
-    _check_scale(b)
-    if not (0.0 <= center <= n):
-        raise ValueError(f"center {center} outside the support [0, {n}]")
+    _check_law(center, b, n)
     return -0.5 * (math.expm1(-center / b) + math.expm1(-(n - center) / b))
 
 
@@ -217,13 +224,7 @@ class BoundedLaplaceDist:
     domain_upper_n: float
 
     def __post_init__(self):
-        _check_scale(self.scale_b)
-        if self.domain_upper_n <= 0.0:
-            raise ValueError(f"domain width must be positive, got {self.domain_upper_n}")
-        if not (0.0 <= self.center <= self.domain_upper_n):
-            raise ValueError(
-                f"center {self.center} outside the support [0, {self.domain_upper_n}]"
-            )
+        _check_law(self.center, self.scale_b, self.domain_upper_n)
 
     @property
     def normalizer(self) -> float:

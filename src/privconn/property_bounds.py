@@ -278,8 +278,6 @@ def expected_lambda2(lambda2: float, b: float, n: float) -> float:
     wrong at b/n = 1e7). Equals lambda2 exactly when lambda2 = n/2; the
     bias vanishes as b -> 0 and saturates to n/2 as b -> infinity.
     """
-    if not (0.0 <= lambda2 <= n):
-        raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
     above, below = _gamma2((n - lambda2) / b), _gamma2(lambda2 / b)
     return lambda2 + b * (above - below) / (2.0 * C)
@@ -301,8 +299,6 @@ def expected_inv_sqrt_lambda2(lambda2: float, b: float, n: float) -> float:
     (within 2.1e-15). Finite even though the draw can touch 0, because the
     density is bounded there.
     """
-    if not (0.0 <= lambda2 <= n):
-        raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
     C = normalizer_C(lambda2, b, n)
     if lambda2 > 0.0 and math.isinf(lambda2 / b):
         return 1.0 / math.sqrt(lambda2)  # the limit as b -> 0; both pieces underflow
@@ -327,13 +323,12 @@ def expected_bounds(lambda2: float, b: float, lambda_n: float, n: int) -> Proper
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got n = {n}")
-    if not (0.0 <= lambda2 <= n):
-        raise ValueError(f"lambda2 = {lambda2} outside the support [0, {n}]")
+    inv_sqrt = expected_inv_sqrt_lambda2(lambda2, b, float(n))  # checks the law first
     if not (lambda_n >= lambda2 and lambda_n > 0.0 and math.isfinite(lambda_n)):
         raise ValueError(
             f"largest eigenvalue {lambda_n} must be positive, finite and at least lambda2"
         )
-    S = math.sqrt(lambda_n) * expected_inv_sqrt_lambda2(lambda2, b, float(n))
+    S = math.sqrt(lambda_n) * inv_sqrt
     mean_draw = expected_lambda2(lambda2, b, float(n))
     return _sandwich(
         S, 1.0 / mean_draw, n, None, mode="expected", lambda2=lambda2, lambda_n=lambda_n, b=b

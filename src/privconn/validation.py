@@ -67,7 +67,7 @@ from .graph_core import Graph, algebraic_connectivity, laplacians, spectrum  # n
 from .privacy_mechanism import (
     BoundedLaplaceDist,
     PrivacyParams,
-    _check_scale,
+    _check_law,
     sensitivity_bound,
     solve_scale_b,
 )
@@ -714,7 +714,7 @@ def attack_under_noise(
     """
     if not (0.0 < coverage < 1.0):
         raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
-    _check_scale(b)
+    _check_law(0.0, b, n)  # the releases it inverts are laws of scale b on [0, n]
     w = b * math.log(1.0 / (1.0 - coverage))
     unknown, _, masks, slot_counts, total = _consistent_masks(
         n, known_present, known_absent, release_value, w

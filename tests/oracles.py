@@ -296,6 +296,11 @@ def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> fl
     difference of nearly equal numbers. Tanh-sinh nodes never touch the
     interval ends, so an integrable endpoint singularity such as
     X^(-1/2) at 0 is fine.
+
+    Raises:
+        ValueError: if the same nodes do not integrate the density itself
+            to 1 within 1e-30, as when b is so far below the support that
+            no node lands inside the law (mp_narrow_expectation covers it).
     """
     import mpmath as mp
 
@@ -303,9 +308,15 @@ def mp_expectation(func, center: float, b: float, n: float, dps: int = 60) -> fl
         c, bb, nn = mp.mpf(center), mp.mpf(b), mp.mpf(n)
         C = 1 - (mp.exp(-c / bb) + mp.exp(-(nn - c) / bb)) / 2
         nodes = [mp.mpf(0), *([c] if 0 < c < nn else []), nn]
-        return float(
-            mp.quad(lambda x: func(x) * mp.exp(-abs(x - c) / bb) / (2 * bb * C), nodes)
-        )
+
+        def pdf(x):
+            return mp.exp(-abs(x - c) / bb) / (2 * bb * C)
+
+        mass = mp.quad(pdf, nodes)
+        if abs(mass - 1) > mp.mpf("1e-30"):
+            miss = mp.nstr(mass - 1, 3)
+            raise ValueError(f"nodes miss the law ({center}, {b}, {n}): its mass is 1 + ({miss})")
+        return float(mp.quad(lambda x: func(x) * pdf(x), nodes))
 
 
 def mp_narrow_expectation(func, center: float, b: float, n: float, reach: float = 80.0, dps: int = 60) -> float:

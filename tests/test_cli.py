@@ -338,6 +338,17 @@ class TestBounds:
         )
         assert code == 2
 
+    def test_alpha_with_sweep_exits_2(self, capsys):
+        # the sweep optimizes each base; it used to drop a pinned --alpha
+        # silently, from the bounds and from the report's inputs
+        argv = ["bounds", "--lambda2", "1", "--n", "10", "--sweep-eps", "0.1:2:2", "--alpha", "2"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "--alpha applies to the single report only" in err
+        code, _ = run(capsys, argv[:-2] + ["--alpha", "auto"])
+        assert code == 0
+
     def test_bad_alpha_exits_2(self, capsys):
         code, _ = run(
             capsys, ["bounds", "--lambda2", "1.0", "--n", "10", "--alpha", "1.0"]

@@ -10,12 +10,13 @@ from privconn import (
     PrivacyParams,
     concentration_bound,
     expected_rate_error,
-    rho_terms,
+    normalizer_C,
     settle_time,
     consensus_analysis,
     solve_scale_b,
     worst_case_settle_time,
 )
+from privconn.consensus_analysis import _rho_terms
 
 import oracles as oc
 
@@ -54,11 +55,11 @@ class TestQueryType:
 class TestRhoTerms:
     def test_scalar_and_vector_agree(self):
         ts = np.array([0.1, 1.0 / B, 5.0, 40.0])
-        vec = rho_terms(ts, LAM2, B, N)
+        vec = _rho_terms(ts, LAM2, B, N)
         bounds = concentration_bound(ts, 0.2, LAM2, B, N)
         assert bounds.shape == ts.shape
         for i, t in enumerate(ts):
-            scal = rho_terms(float(t), LAM2, B, N)
+            scal = _rho_terms(float(t), LAM2, B, N)
             assert all(isinstance(v, float) for v in scal)
             for got, want in zip(vec, scal):
                 assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
@@ -68,14 +69,14 @@ class TestRhoTerms:
 
     def test_nonpositive_time_raises(self):
         with pytest.raises(ValueError, match="positive and finite"):
-            rho_terms(0.0, LAM2, B, N)
+            _rho_terms(0.0, LAM2, B, N)
         with pytest.raises(ValueError, match="positive and finite"):
-            rho_terms(np.array([1.0, -2.0]), LAM2, B, N)
+            _rho_terms(np.array([1.0, -2.0]), LAM2, B, N)
 
     @pytest.mark.parametrize("t", [np.array([1.0, np.nan]), np.inf, -np.inf, np.nan])
     def test_nonfinite_time_raises(self, t):
         with pytest.raises(ValueError, match="times must be positive and finite"):
-            rho_terms(t, LAM2, B, N)
+            _rho_terms(t, LAM2, B, N)
         with pytest.raises(ValueError, match="times must be positive and finite"):
             expected_rate_error(t, LAM2, B, N)
 
@@ -86,7 +87,7 @@ class TestRhoTerms:
         small lambda2 / b makes the quotient's numerator tiny."""
         t = (1.0 + s) / b
         want = oc.mp_rho_below(t, lam2, b)
-        assert rho_terms(t, lam2, b, N)[0] == pytest.approx(want, rel=1e-8, abs=0.0)
+        assert _rho_terms(t, lam2, b, N)[0] == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_nonnegative_over_random_sweep(self):
         rng = np.random.default_rng(17)
@@ -95,7 +96,7 @@ class TestRhoTerms:
             lam2 = float(rng.uniform(0.0, n))
             b = float(rng.uniform(0.05, 50.0))
             t = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-            r1, r2, r3 = rho_terms(t, lam2, b, n)
+            r1, r2, r3 = _rho_terms(t, lam2, b, n)
             assert r1 >= -1e-15
             assert r2 >= -1e-15
             assert r3 >= -1e-15
@@ -176,6 +177,18 @@ class TestExpectedRateError:
             assert _mp_rate_error(1.7e308, lam2, B, N) == 1.0
         else:
             assert all(0.0 <= v <= got[0] for v in got)
+
+    @pytest.mark.parametrize("t", [1e307, 1e308, 1.7e308])
+    def test_huge_time_falls_like_one_over_t(self, t):
+        """lambda2 |1 - b t| overflows from t = 1e307 at lambda2 = n = 10,
+        where the mean used to read 0. It tends to
+        e^(-lambda2/b) / (2 b C t), a subnormal here, so t E(t) is held to
+        that limit within two units of the least subnormal in E(t)."""
+        lam2 = n = 10.0
+        b = solve_scale_b(PrivacyParams(epsilon=0.4, delta=0.05), n)
+        limit = math.exp(-lam2 / b) / (2.0 * b * normalizer_C(lam2, b, n))
+        got = expected_rate_error(t, lam2, b, n)
+        assert abs(t * got - limit) <= t * 2.0 * math.ulp(0.0)
 
     def test_vectorized_over_t(self):
         ts = np.geomspace(0.01, 100.0, 40)

@@ -39,7 +39,6 @@ EXPORTED = {
     "delta_C",
     "solve_scale_b",
     "privatize",
-    "rho_terms",
     "expected_rate_error",
     "concentration_bound",
     "settle_time",
@@ -62,8 +61,8 @@ EXPORTED = {
 }
 
 
-def test_exports_the_forty_one_public_names_once():
-    assert len(EXPORTED) == 41
+def test_exports_the_forty_public_names_once():
+    assert len(EXPORTED) == 40
     assert len(privconn.__all__) == len(set(privconn.__all__))
     assert set(privconn.__all__) == EXPORTED
 
@@ -110,6 +109,35 @@ def test_every_public_name_is_used_by_the_program_or_the_benchmark():
     # from a command or a workload, not only from tests
     public = set(privconn.__all__) - {"__version__"}
     assert sorted(public - _names_read(CALLERS)) == []
+
+
+# the release law's validity errors; one function decides them
+_LAW_ERRORS = ("outside the support", "domain width")
+
+
+def test_only_check_law_raises_the_law_errors():
+    """Every raise whose message names the law's support or width sits in
+    privacy_mechanism._check_law; a second copy of the rule fails here."""
+    elsewhere = []
+
+    def visit(node, function, filename):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(
+                part.value
+                for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if function != "_check_law" and any(phrase in text for phrase in _LAW_ERRORS):
+                elsewhere.append(f"{filename}:{node.lineno} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, filename)
+
+    for path in sorted((ROOT / "src" / "privconn").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None, path.name)
+    assert elsewhere == []
+    assert callable(privconn.privacy_mechanism._check_law)
 
 
 # pytest.approx keeps its default abs=1e-12 beside any rel, so a rel

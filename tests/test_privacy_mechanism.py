@@ -15,7 +15,9 @@ from privconn import (
     algebraic_connectivity,
     delta_C,
     expected_bounds,
+    expected_inv_sqrt_lambda2,
     expected_lambda2,
+    expected_rate_error,
     normalizer_C,
     privacy_mechanism,
     privatize,
@@ -106,6 +108,31 @@ class TestNormalizer:
         # an infinite scale would make C = 0 and a NaN one C = NaN
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             entry(b)
+
+    @pytest.mark.parametrize(
+        "center, n, message",
+        [
+            (1.0, 0.0, "domain width must be positive and finite, got 0.0"),
+            (1.0, math.inf, "domain width must be positive and finite, got inf"),
+            (1.0, math.nan, "domain width must be positive and finite, got nan"),
+            (-1.0, 10.0, "lambda2 = -1.0 outside the support [0, 10.0]"),
+        ],
+    )
+    def test_every_entry_refuses_a_bad_law_alike(self, center, n, message):
+        # a zero width used to end in ZeroDivisionError from both moments,
+        # an infinite one passed all but expected_rate_error, and a NaN
+        # one was reported as a center outside [0, nan]
+        entries = [
+            lambda: BoundedLaplaceDist(center, 2.0, n),
+            lambda: normalizer_C(center, 2.0, n),
+            lambda: expected_lambda2(center, 2.0, n),
+            lambda: expected_inv_sqrt_lambda2(center, 2.0, n),
+            lambda: expected_rate_error(1.0, center, 2.0, n),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError) as exc:
+                entry()
+            assert str(exc.value) == message
 
 
 class TestDeltaC:

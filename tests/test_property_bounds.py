@@ -327,6 +327,13 @@ class TestExpectedMoments:
         if math.isinf(lam2 / b):
             assert got == 1.0 / math.sqrt(lam2)
 
+    @pytest.mark.parametrize("lam2", [0.5, 1.0, 3.0])
+    def test_oracle_refuses_a_law_its_nodes_miss(self, lam2):
+        # no node of mp_expectation lands inside a law 1e-300 wide, where
+        # it used to read 0 for a mean of 1/sqrt(lambda2)
+        with pytest.raises(ValueError, match="nodes miss the law"):
+            oc.mp_expectation(lambda x: 1 / mp.sqrt(x), lam2, 1e-300, 10.0)
+
     def test_midpoint_center_is_unbiased(self):
         for n, b in [(10.0, 7.39), (6.0, 0.5), (30.0, 100.0)]:
             assert expected_lambda2(n / 2.0, b, n) == pytest.approx(
